@@ -199,6 +199,8 @@ def _cmd_pipeline(args) -> int:
         print("budget exhausted", file=sys.stderr)
         return BUDGET
     if result.status == "unsat":
+        if result.reason is not None:
+            print(f"infeasible: {result.reason}", file=sys.stderr)
         print("puzzle is unsatisfiable", file=sys.stderr)
         return UNSAT
     sys.stdout.write(format_grid(result.grid))

@@ -12,6 +12,7 @@ from .transform import (
     EdgeDeletion,
     GadgetRemoval,
     Triplication,
+    from_renumbered,
 )
 
 
@@ -111,26 +112,31 @@ def read_cycle(text: str) -> list[int]:
 
 
 def save_journal(lifter: CycleLifter) -> str:
-    """Line format: 'T n', 'G removed left right',
-    'C survivor absorbed attach_survivor attach_absorbed', 'D u v'."""
+    """Line format, in the journal's base ids: 'T n',
+    'g removed left right',
+    'c survivor absorbed attach_survivor attach_absorbed', 'd u v'."""
     lines = []
     for rec in lifter.records:
         if isinstance(rec, Triplication):
             lines.append(f"T {rec.n}")
         elif isinstance(rec, GadgetRemoval):
-            lines.append(f"G {rec.removed} {rec.left} {rec.right}")
+            lines.append(f"g {rec.removed} {rec.left} {rec.right}")
         elif isinstance(rec, Contraction):
             lines.append(
-                f"C {rec.survivor} {rec.absorbed} "
+                f"c {rec.survivor} {rec.absorbed} "
                 f"{rec.attach_survivor} {rec.attach_absorbed}"
             )
         else:
-            lines.extend(f"D {u} {v}" for u, v in rec.edges)
+            lines.extend(f"d {u} {v}" for u, v in rec.edges)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_journal(text: str) -> CycleLifter:
+    """Inverse of save_journal.  Also reads the older format, whose 'G',
+    'C' and 'D' lines name the ids of the graph each record was applied
+    to, and converts it to base ids.  One journal uses one of the two."""
     records = []
+    kinds = set()
     for ln in text.splitlines():
         if not ln.strip():
             continue
@@ -142,14 +148,19 @@ def load_journal(text: str) -> CycleLifter:
             raise ValueError(f"bad journal line {ln!r}") from None
         if kind == "T" and len(args) == 1:
             records.append(Triplication(args[0]))
-        elif kind == "G" and len(args) == 3:
+        elif kind in ("g", "G") and len(args) == 3:
             records.append(GadgetRemoval(*args))
-        elif kind == "C" and len(args) == 4:
+        elif kind in ("c", "C") and len(args) == 4:
             records.append(Contraction(*args))
-        elif kind == "D" and len(args) == 2:
+        elif kind in ("d", "D") and len(args) == 2:
             records.append(EdgeDeletion(((args[0], args[1]),)))
         else:
             raise ValueError(f"bad journal line {ln!r}")
+        kinds.add(kind)
+    if kinds & set("GCD"):
+        if kinds & set("gcd"):
+            raise ValueError("journal mixes base-id and renumbered records")
+        return CycleLifter(from_renumbered(records))
     return CycleLifter(tuple(records))
 
 

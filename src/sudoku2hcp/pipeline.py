@@ -24,7 +24,8 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    """status is 'solved', 'unsat' or 'budget'."""
+    """status is 'solved', 'unsat' or 'budget'.  reason is the
+    Infeasible reason when reduction decided 'unsat' without a search."""
 
     status: str
     grid: Grid | None
@@ -34,6 +35,7 @@ class PipelineResult:
     final_graph: UndirectedGraph
     lifter: CycleLifter
     directed_cycle: list[int] | None = None
+    reason: str | None = None
 
 
 def solve_instance(
@@ -63,7 +65,14 @@ def solve_instance(
         reduced = reduce_graph(graph)
         if isinstance(reduced, Infeasible):
             return PipelineResult(
-                "unsat", None, None, directed, pruned_arcs, graph, lifter
+                "unsat",
+                None,
+                None,
+                directed,
+                pruned_arcs,
+                graph,
+                lifter,
+                reason=reduced.reason,
             )
         graph, step = reduced
         lifter = lifter + step

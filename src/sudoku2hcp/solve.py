@@ -90,6 +90,13 @@ class SolveState:
         self._force_queue: list[int] = []
         self._exclude_queue: list[int] = []
         self._seeded = False
+        self._arrays = {
+            "s": self.state,
+            "f": self.forced_deg,
+            "a": self.avail_deg,
+            "po": self.path_other,
+            "pl": self.path_len,
+        }
 
     # trail helpers: every mutation is recorded so search can roll back
 
@@ -105,13 +112,7 @@ class SolveState:
         return len(self.trail)
 
     def rollback(self, mark: int) -> None:
-        arrays = {
-            "s": self.state,
-            "f": self.forced_deg,
-            "a": self.avail_deg,
-            "po": self.path_other,
-            "pl": self.path_len,
-        }
+        arrays = self._arrays
         while len(self.trail) > mark:
             tag, i, old = self.trail.pop()
             if tag == "ft":
@@ -266,7 +267,9 @@ def solve_hcp(
     """Complete backtracking search for a Hamiltonian cycle.
 
     Deterministic for fixed inputs; the seed parameter is reserved for a
-    future randomised restart mode and currently has no effect.
+    future randomised restart mode and currently has no effect.  A graph
+    with fewer edges than vertices is answered 'no_cycle' before anything
+    is allocated per vertex.
     """
     del seed
     if g.n < 3:
@@ -282,6 +285,9 @@ def solve_hcp(
     def outcome(status: str, cycle: list[int] | None = None) -> SolveOutcome:
         stats.time_ms = elapsed_ms()
         return SolveOutcome(status, cycle, stats)
+
+    if g.m < g.n:
+        return outcome("no_cycle")
 
     state = SolveState(g)
     try:

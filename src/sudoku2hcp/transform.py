@@ -6,15 +6,22 @@ a degree-2 reduction heuristic.  Each returns a new graph together with a
 CycleLifter journal; replaying the journal backwards maps a Hamiltonian
 cycle of the transformed graph to one of the original graph.
 
-Record id semantics: every record is expressed in the vertex numbering of
-the graph it was applied to.  A record that deletes vertex v renumbers all
-ids above v down by one, so a journal replays mechanically in both
-directions without global bookkeeping.
+Record id semantics: every record names vertices by their id in the
+journal's base graph, the graph its first transform was applied to (after
+a triplication, the 3n-vertex undirected graph).  Ids never shift when a
+record deletes a vertex.  The final graph's vertex k is the k-th smallest
+base id that no record deletes, so lifting maps a cycle through that list
+once and replays the records backwards.  Journal files written before this
+numbering (deleting records with renumbered ids) are converted to base ids
+when formats.load_journal reads them.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .graphs import DirectedGraph, UndirectedGraph
 from .labels import label_cand, label_dup, vertex_count
@@ -75,10 +82,76 @@ class CycleLifter:
     records: tuple[Record, ...] = ()
 
     def __add__(self, other: "CycleLifter") -> "CycleLifter":
-        return CycleLifter(self.records + other.records)
+        """This journal followed by `other`, whose records name vertices of
+        this journal's final graph; they are rewritten into base ids."""
+        gone = sorted({_deleted_id(r) for r in self.records} - {None})
+        if not gone:
+            return CycleLifter(self.records + other.records)
+        base_id = partial(_survivor, gone)
+        return CycleLifter(
+            self.records + tuple(_map_ids(r, base_id) for r in other.records)
+        )
 
     def lift(self, cycle: list[int]) -> list[int]:
         return lift_cycle(self, cycle)
+
+
+def _deleted_id(rec: Record) -> int | None:
+    """The vertex a record deletes, or None."""
+    if isinstance(rec, GadgetRemoval):
+        return rec.removed
+    if isinstance(rec, Contraction):
+        return rec.absorbed
+    return None
+
+
+def _map_ids(rec: Record, f: Callable[[int], int]) -> Record:
+    """The record with every vertex id v replaced by f(v)."""
+    if isinstance(rec, GadgetRemoval):
+        return GadgetRemoval(f(rec.removed), f(rec.left), f(rec.right))
+    if isinstance(rec, Contraction):
+        return Contraction(
+            f(rec.survivor),
+            f(rec.absorbed),
+            f(rec.attach_survivor),
+            f(rec.attach_absorbed),
+        )
+    if isinstance(rec, EdgeDeletion):
+        return EdgeDeletion(tuple((f(u), f(v)) for u, v in rec.edges))
+    return rec
+
+
+def _survivor(gone: list[int], k: int) -> int:
+    """The k-th smallest positive id not in `gone`, an ascending list of
+    distinct ids: k plus the count of gone ids below it, which is the
+    first index j with gone[j] - j > k."""
+    if k < 1:
+        raise ValueError("journal refers to vertices outside the graph")
+    lo, hi = 0, len(gone)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gone[mid] - mid > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return k + lo
+
+
+def from_renumbered(records: list[Record]) -> tuple[Record, ...]:
+    """Records in the older numbering, where each record names the ids of
+    the graph it was applied to and a deletion shifts every higher id down
+    by one, rewritten into base ids.  Memory stays proportional to the
+    records, whatever ids they name."""
+    gone: list[int] = []
+    base_id = partial(_survivor, gone)
+    out: list[Record] = []
+    for rec in records:
+        rec = _map_ids(rec, base_id)
+        out.append(rec)
+        removed = _deleted_id(rec)
+        if removed is not None:
+            insort(gone, removed)
+    return tuple(out)
 
 
 def in_copy(v: int) -> int:
@@ -189,8 +262,6 @@ def compress_triples(
             raise ValueError(f"vertex {mv} is not a removable gadget middle")
         if g.has_edge(mv - 1, mv + 1):
             raise ValueError(f"bridge ({mv - 1}, {mv + 1}) already present")
-        # descending removal order keeps every record's current ids equal
-        # to the ids in g itself
         records.append(GadgetRemoval(mv, mv - 1, mv + 1))
         removed.add(mv)
 
@@ -207,26 +278,6 @@ def compress_triples(
     return out, CycleLifter(tuple(records))
 
 
-class _Fenwick:
-    """Prefix counts of deleted ids, for original-to-current renumbering."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int) -> None:
-        while i <= self.n:
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        s = 0
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-
 def reduce_graph(
     g: UndirectedGraph,
 ) -> tuple[UndirectedGraph, CycleLifter] | Infeasible:
@@ -239,22 +290,21 @@ def reduce_graph(
     Passes scan vertices in ascending id and apply rule 2 before rule 1,
     since rule 2 creates the chains that rule 1 collapses.  Returns
     Infeasible when the rules certify that no Hamiltonian cycle exists:
-    a vertex with three or more degree-2 neighbours, a vertex left with
-    fewer than two edges, or a contraction that would double an edge in
-    a graph larger than a triangle (a forced short cycle).
+    fewer edges than vertices (checked before anything is allocated per
+    vertex), a vertex with three or more degree-2 neighbours, a vertex
+    left with fewer than two edges, or a contraction that would double an
+    edge in a graph larger than a triangle (a forced short cycle).
+    Records name vertices by their ids in g.
     """
     if g.n < 4:
         raise ValueError("reduction expects at least 4 vertices")
+    if g.m < g.n:
+        return Infeasible(f"{g.m} edges cannot cover {g.n} vertices")
     adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
     for v, nbrs in adj.items():
         if len(nbrs) < 2:
             return Infeasible(f"vertex {v} has degree {len(nbrs)}")
     alive = set(adj)
-    bit = _Fenwick(g.n)
-
-    def cur(x: int) -> int:
-        return x - bit.prefix(x - 1)
-
     records: list[Record] = []
     changed = True
     while changed:
@@ -273,9 +323,8 @@ def reduce_graph(
                 for w in others:
                     adj[v].discard(w)
                     adj[w].discard(v)
-                    cv, cw = cur(v), cur(w)
-                    dropped.append((cv, cw) if cv < cw else (cw, cv))
-                records.append(EdgeDeletion(tuple(sorted(dropped))))
+                    dropped.append((v, w) if v < w else (w, v))
+                records.append(EdgeDeletion(tuple(dropped)))
                 changed = True
 
         for v in sorted(alive):
@@ -295,14 +344,13 @@ def reduce_graph(
                             f"contracting ({s}, {t}) would double edge to {p}"
                         )
                     break  # a bare triangle is terminal and Hamiltonian
-                records.append(Contraction(cur(s), cur(t), cur(p), cur(q)))
+                records.append(Contraction(s, t, p, q))
                 adj[s].discard(t)
                 adj[s].add(q)
                 adj[q].discard(t)
                 adj[q].add(s)
                 del adj[t]
                 alive.discard(t)
-                bit.add(t)
                 changed = True
                 node = s
 
@@ -312,60 +360,6 @@ def reduce_graph(
         (new_id[a], new_id[b]) for a in alive_sorted for b in adj[a] if a < b
     ]
     return UndirectedGraph(len(alive_sorted), edges), CycleLifter(tuple(records))
-
-
-def _normalize_records(
-    lifter: CycleLifter, cycle_len: int
-) -> tuple[int, int | None, list[Record], list[int]]:
-    """Rewrite deleting records in the ids of the journal's base graph.
-
-    Returns (base size, directed size if the journal starts with a
-    triplication, records with base ids, final alive list mapping current
-    ids to base ids).
-    """
-    records = list(lifter.records)
-    directed_n = None
-    if records and isinstance(records[0], Triplication):
-        directed_n = records[0].n
-        records = records[1:]
-    if any(isinstance(r, Triplication) for r in records):
-        raise ValueError("triplication record allowed only at the start of a journal")
-    deletions = sum(isinstance(r, (GadgetRemoval, Contraction)) for r in records)
-    base = cycle_len + deletions
-    if directed_n is not None and base != 3 * directed_n:
-        raise ValueError(
-            f"cycle length {cycle_len} inconsistent with journal "
-            f"({deletions} deletions from {3 * directed_n} vertices)"
-        )
-    alive = list(range(1, base + 1))
-
-    def base_id(idx: int) -> int:
-        if not 1 <= idx <= len(alive):
-            raise ValueError("journal refers to vertices outside the graph")
-        return alive[idx - 1]
-
-    normalized: list[Record] = []
-    for rec in records:
-        if isinstance(rec, GadgetRemoval):
-            normalized.append(
-                GadgetRemoval(
-                    base_id(rec.removed), base_id(rec.left), base_id(rec.right)
-                )
-            )
-            alive.pop(rec.removed - 1)
-        elif isinstance(rec, Contraction):
-            normalized.append(
-                Contraction(
-                    base_id(rec.survivor),
-                    base_id(rec.absorbed),
-                    base_id(rec.attach_survivor),
-                    base_id(rec.attach_absorbed),
-                )
-            )
-            alive.pop(rec.absorbed - 1)
-        else:
-            normalized.append(rec)
-    return base, directed_n, normalized, alive
 
 
 def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
@@ -378,9 +372,30 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
     """
     if not cycle:
         raise ValueError("empty cycle")
-    base, directed_n, records, alive = _normalize_records(lifter, len(cycle))
+    records = lifter.records
+    directed_n = None
+    if records and isinstance(records[0], Triplication):
+        directed_n = records[0].n
+        records = records[1:]
+    if any(isinstance(r, Triplication) for r in records):
+        raise ValueError("triplication record allowed only at the start of a journal")
+    deleted = [d for d in map(_deleted_id, records) if d is not None]
+    base = len(cycle) + len(deleted)
+    if directed_n is not None and base != 3 * directed_n:
+        raise ValueError(
+            f"cycle length {len(cycle)} inconsistent with journal "
+            f"({len(deleted)} deletions from {3 * directed_n} vertices)"
+        )
+    gone = bytearray(base + 1)
+    for d in deleted:
+        if not 1 <= d <= base:
+            raise ValueError("journal refers to vertices outside the graph")
+        if gone[d]:
+            raise ValueError(f"journal deletes vertex {d} twice")
+        gone[d] = 1
     if sorted(cycle) != list(range(1, len(cycle) + 1)):
         raise ValueError("cycle is not a permutation of the final graph's vertices")
+    alive = [v for v in range(1, base + 1) if not gone[v]]
     base_cycle = [alive[c - 1] for c in cycle]
 
     nxt: dict[int, int] = {}
@@ -391,10 +406,7 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
         prv[w] = v
 
     def splice(new: int, a: int, b: int) -> None:
-        if new in nxt:
-            raise ValueError(
-                f"cycle not consistent with journal: {new} inserted twice"
-            )
+        # new is off the cycle: it is deleted, and by no other record
         if nxt.get(a) == b:
             nxt[a] = new
             nxt[new] = b
@@ -414,7 +426,8 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
         if isinstance(rec, GadgetRemoval):
             splice(rec.removed, rec.left, rec.right)
         elif isinstance(rec, Contraction):
-            around = {nxt[rec.survivor], prv[rec.survivor]}
+            # both None when the survivor is not on the cycle yet
+            around = {nxt.get(rec.survivor), prv.get(rec.survivor)}
             if around != {rec.attach_survivor, rec.attach_absorbed}:
                 raise ValueError(
                     "cycle not consistent with journal: contraction "

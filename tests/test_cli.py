@@ -57,10 +57,25 @@ def test_pipeline_inconsistent_exit_3(puzzle_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_pipeline_unsat_exit_1(puzzle_file, capsys):
-    path = puzzle_file("unsat.txt", "12....43........")
+def test_pipeline_unsat_exit_1(puzzle_file, capsys, tmp_path):
+    # consistent clues without a solution, refuted by reduce: the pipeline
+    # gives the reason in the reduce subcommand's words
+    text = "12....43........"
+    assert enumerate_solutions(__import__("sudoku2hcp").parse_sudoku(text), 1) == []
+    path = puzzle_file("unsat.txt", text)
     rc = main(["pipeline", path])
     assert rc == 1
+    said = capsys.readouterr().err.splitlines()
+    d = str(tmp_path)
+    assert main(["convert", path, "--prune", "-o", f"{d}/g.dhcp"]) == 0
+    assert main(["undirect", f"{d}/g.dhcp", "-o", f"{d}/g.uhcp",
+                 "--journal-out", f"{d}/g.journal"]) == 0
+    capsys.readouterr()
+    assert main(["reduce", f"{d}/g.uhcp", "-o", f"{d}/r.uhcp",
+                 "--journal-out", f"{d}/r.journal"]) == 1
+    reduce_said = capsys.readouterr().err.splitlines()
+    assert reduce_said[0].startswith("infeasible: ")
+    assert said == reduce_said + ["puzzle is unsatisfiable"]
 
 
 def test_pipeline_budget_exit_2(puzzle_file, capsys, monkeypatch):
@@ -86,6 +101,26 @@ def test_stage_by_stage_matches_pipeline(puzzle_file, capsys, tmp_path):
     assert main(["solve", f"{d}/r.uhcp", "-o", f"{d}/c.cycle"]) == 0
     capsys.readouterr()
     assert main(["recover", f"{d}/c.cycle", "--journal", f"{d}/r.journal"]) == 0
+    grid = parse_grid(capsys.readouterr().out)
+    sols = enumerate_solutions(__import__("sudoku2hcp").parse_sudoku(PUZZLE4), 2)
+    assert [grid] == sols
+
+
+def test_stage_chain_with_compress(puzzle_file, capsys, tmp_path):
+    # compress deletes vertices, so reduce's journal is rewritten into the
+    # compressed journal's base ids when the two are chained through files
+    path = puzzle_file("p.txt", PUZZLE4)
+    d = str(tmp_path)
+    assert main(["convert", path, "--prune", "-o", f"{d}/g.dhcp"]) == 0
+    assert main(["undirect", f"{d}/g.dhcp", "-o", f"{d}/g.uhcp",
+                 "--journal-out", f"{d}/g.journal"]) == 0
+    assert main(["compress", f"{d}/g.uhcp", "-o", f"{d}/c.uhcp",
+                 "--journal", f"{d}/g.journal", "--journal-out", f"{d}/c.journal"]) == 0
+    assert main(["reduce", f"{d}/c.uhcp", "-o", f"{d}/r.uhcp",
+                 "--journal", f"{d}/c.journal", "--journal-out", f"{d}/r.journal"]) == 0
+    assert main(["solve", f"{d}/r.uhcp", "-o", f"{d}/r.cycle"]) == 0
+    capsys.readouterr()
+    assert main(["recover", f"{d}/r.cycle", "--journal", f"{d}/r.journal"]) == 0
     grid = parse_grid(capsys.readouterr().out)
     sols = enumerate_solutions(__import__("sudoku2hcp").parse_sudoku(PUZZLE4), 2)
     assert [grid] == sols

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +10,21 @@ from sudoku2hcp import (
     SudokuInstance,
     UndirectedGraph,
     build_hcp,
+    enumerate_solutions,
     export_graph,
     export_tsplib_hcp,
     format_stats,
     graph_stats,
     import_graph,
     load_journal,
+    parse_sudoku,
     prune_fixed,
     read_cycle,
+    recover_solution,
     reduce_graph,
     save_journal,
     undirect,
+    verify_cycle,
     write_cycle,
 )
 from _support import random_undirected
@@ -129,6 +134,27 @@ class TestJournalFormat:
         again = load_journal(text)
         assert save_journal(again) == text
         assert text.startswith("T 474\n")
+        assert {ln[0] for ln in text.splitlines()[1:]} <= set("gcd")
+
+    def test_older_format_lifts_to_the_same_cycle(self):
+        # a triplication, compress and reduce journal written with the
+        # older renumbered G/C/D records, the cycle the solver found on the
+        # reduced graph, and the directed cycle that journal lifted it to
+        data = Path(__file__).parent / "data"
+        text = (data / "legacy_compress_reduce.journal").read_text()
+        cycle = read_cycle((data / "legacy_compress_reduce.cycle").read_text())
+        lifted = read_cycle((data / "legacy_compress_reduce.lifted").read_text())
+        lifter = load_journal(text)
+        assert lifter.lift(cycle) == lifted
+        assert load_journal(save_journal(lifter)) == lifter
+        inst = parse_sudoku("1...2..3......2.")
+        pruned, _ = prune_fixed(build_hcp(4), inst)
+        assert verify_cycle(pruned, lifted)
+        assert [recover_solution(lifted, 4)] == enumerate_solutions(inst, 2)
+
+    def test_mixed_formats_rejected(self):
+        with pytest.raises(ValueError, match="mixes"):
+            load_journal("T 2\nG 3 2 4\ng 3 2 4\n")
 
     def test_empty_journal(self):
         from sudoku2hcp import CycleLifter

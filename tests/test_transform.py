@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -179,6 +180,19 @@ class TestReduce:
         assert isinstance(out, Infeasible)
         assert brute_undirected_hamiltonian(6, g.edge_set()) is None
 
+    def test_fewer_edges_than_vertices_short_circuit(self):
+        g = UndirectedGraph(100_000, [(1, 2), (2, 3), (1, 3)])
+        tracemalloc.start()
+        try:
+            reduced = reduce_graph(g)
+            outcome = solve_hcp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reduced == Infeasible("3 edges cannot cover 100000 vertices")
+        assert outcome.status == "no_cycle"
+        assert peak < 1_000_000
+
     def test_low_degree_infeasible(self):
         g = UndirectedGraph(4, [(1, 2), (2, 3), (3, 4)])
         assert isinstance(reduce_graph(g), Infeasible)
@@ -273,6 +287,36 @@ class TestLift:
         directed = lift_cycle(chain, outcome.cycle)
         assert verify_cycle(pruned, directed)
         assert recover_solution(directed, 4) == sol
+
+    def test_concatenation_rewrites_into_base_ids(self):
+        # the left journal deletes base vertex 2, so the right journal's
+        # vertex k is the k-th surviving base id: 1, 3, 4, 5, ...
+        left = CycleLifter((GadgetRemoval(2, 1, 3),))
+        right = CycleLifter(
+            (Contraction(2, 3, 1, 4), EdgeDeletion(((1, 4),)))
+        )
+        assert (left + right).records == (
+            GadgetRemoval(2, 1, 3),
+            Contraction(3, 4, 1, 5),
+            EdgeDeletion(((1, 5),)),
+        )
+        # a left journal that deletes nothing concatenates unchanged
+        assert (CycleLifter((Triplication(2),)) + right).records == (
+            Triplication(2),
+        ) + right.records
+
+    @pytest.mark.parametrize(
+        "records,cycle,match",
+        [
+            ((GadgetRemoval(3, 2, 4), GadgetRemoval(3, 2, 4)), [1, 2, 3], "twice"),
+            ((GadgetRemoval(6, 2, 4),), [1, 2, 3, 4], "outside"),
+            ((GadgetRemoval(3, 2, 7),), [1, 2, 3, 4], "adjacent"),
+            ((Contraction(7, 3, 1, 4),), [1, 2, 3, 4], "neighbours"),
+        ],
+    )
+    def test_bad_base_ids_rejected(self, records, cycle, match):
+        with pytest.raises(ValueError, match=match):
+            lift_cycle(CycleLifter(records), cycle)
 
     def test_triplication_must_lead(self):
         recs = (GadgetRemoval(3, 2, 4), Triplication(2))
