@@ -69,7 +69,6 @@ from .transform import (
     Triplication,
     compress_triples,
     lift_cycle,
-    orient_and_project,
     reduce_graph,
     triplicate_cycle,
     undirect,
@@ -117,7 +116,6 @@ __all__ = [
     "lift_cycle",
     "load_journal",
     "order_for_vertex_count",
-    "orient_and_project",
     "parse_grid",
     "parse_sudoku",
     "propagate",

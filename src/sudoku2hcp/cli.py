@@ -118,7 +118,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load_undirected(args.graph)
-    outcome = solve_hcp(g, _budget(args), args.seed)
+    outcome = solve_hcp(g, _budget(args))
     if args.stats:
         print(format_stats_line(outcome.stats))
     if outcome.status == "budget":
@@ -185,13 +185,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     instance = parse_sudoku(_read(args.puzzle), args.format)
-    config = PipelineConfig(
-        prune=not args.no_prune,
-        compress=args.compress,
-        reduce=not args.no_reduce,
-        budget=_budget(args),
-        seed=args.seed,
-    )
+    config = PipelineConfig(reduce=not args.no_reduce, budget=_budget(args))
     result = solve_instance(instance, config)
     if args.stats and result.outcome is not None:
         print(format_stats_line(result.outcome.stats))
@@ -221,7 +215,6 @@ def _parser() -> argparse.ArgumentParser:
     def budget_opts(sp):
         sp.add_argument("--budget-nodes", type=int, default=None)
         sp.add_argument("--budget-ms", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--stats", action="store_true")
 
     sp = sub.add_parser("convert", help="puzzle to directed graph file")
@@ -284,8 +277,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pipeline", help="puzzle to solved grid in one run")
     sp.add_argument("puzzle")
-    sp.add_argument("--no-prune", action="store_true")
-    sp.add_argument("--compress", action="store_true")
     sp.add_argument("--no-reduce", action="store_true")
     puzzle_opts(sp)
     budget_opts(sp)

@@ -3,6 +3,7 @@ and graph statistics.  All writers are byte-deterministic."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import DirectedGraph, UndirectedGraph
@@ -179,31 +180,40 @@ class GraphStats:
     max_in_degree: int | None = None
 
 
+def _histogram(counts: Counter, n: int) -> Counter:
+    """How many of the vertices 1..n have each count; absent ones count 0."""
+    hist = Counter(counts.values())
+    if n > len(counts):
+        hist[0] = n - len(counts)
+    return hist
+
+
 def graph_stats(g: DirectedGraph | UndirectedGraph) -> GraphStats:
-    """Degree summary; the average is rounded to 4 decimal places."""
+    """Degree summary; the average is rounded to 4 decimal places.  Memory
+    follows the arcs or edges present, not the vertex count claimed."""
     n = g.n
-    if isinstance(g, DirectedGraph):
-        outs = [g.out_degree(v) for v in range(1, n + 1)]
-        ins = g.in_degrees()[1:]
-        degs = [o + i for o, i in zip(outs, ins)]
-    else:
-        degs = [g.degree(v) for v in range(1, n + 1)]
-    hist: dict[int, int] = {}
-    for d in degs:
-        hist[d] = hist.get(d, 0) + 1
+    directed = isinstance(g, DirectedGraph)
+    tails: Counter = Counter()
+    heads: Counter = Counter()
+    for u, v in g.arcs() if directed else g.edges():
+        tails[u] += 1
+        heads[v] += 1
+    hist = _histogram(tails + heads, n)
+    outs = _histogram(tails, n) if directed else {}
+    ins = _histogram(heads, n) if directed else {}
     avg = round(2 * g.m / n, 4) if n else 0.0
     return GraphStats(
-        directed=isinstance(g, DirectedGraph),
+        directed=directed,
         vertices=n,
         edges=g.m,
-        min_degree=min(degs) if degs else 0,
-        max_degree=max(degs) if degs else 0,
+        min_degree=min(hist, default=0),
+        max_degree=max(hist, default=0),
         average_degree=avg,
         histogram=tuple(sorted(hist.items())),
-        min_out_degree=min(outs) if isinstance(g, DirectedGraph) and outs else None,
-        max_out_degree=max(outs) if isinstance(g, DirectedGraph) and outs else None,
-        min_in_degree=min(ins) if isinstance(g, DirectedGraph) and ins else None,
-        max_in_degree=max(ins) if isinstance(g, DirectedGraph) and ins else None,
+        min_out_degree=min(outs, default=None),
+        max_out_degree=max(outs, default=None),
+        min_in_degree=min(ins, default=None),
+        max_in_degree=max(ins, default=None),
     )
 
 

@@ -3,12 +3,35 @@
 Both containers validate simplicity on construction (no self-loops, no
 duplicate arcs or edges) and iterate their arc/edge sets in ascending
 order, so everything built on top of them is reproducible byte for byte.
+Adjacency is sorted once, at construction, into ascending tuples kept only
+for vertices with an arc or edge, so memory follows those and not n.
 Instances are treated as immutable; transforms return new graphs.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, Iterator
+
+
+def _sorted_adjacency(lists: dict, n: int, kind: str) -> dict[int, tuple[int, ...]]:
+    """Each vertex's list sorted into a tuple, keys ascending.  Rejects an
+    id outside 1..n, a vertex listed under itself (a self-loop) and a value
+    listed twice under one vertex (a duplicate arc or edge)."""
+    out: dict[int, tuple[int, ...]] = {}
+    for u in sorted(lists):
+        vs = lists[u]
+        vs.sort()
+        if not (1 <= u <= n and 1 <= vs[0] and vs[-1] <= n):
+            v = vs[0] if vs[0] < 1 else vs[-1]
+            raise ValueError(f"{kind} ({u}, {v}) out of range 1..{n}")
+        if u in vs:
+            raise ValueError(f"self-loop at {u}")
+        if len(set(vs)) != len(vs):
+            dup = next(a for a, b in zip(vs, vs[1:]) if a == b)
+            raise ValueError(f"duplicate {kind} ({u}, {dup})")
+        out[u] = tuple(vs)
+    return out
 
 
 class DirectedGraph:
@@ -18,45 +41,30 @@ class DirectedGraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        succ: dict[int, set[int]] = {}
+        succ: dict[int, list[int]] = defaultdict(list)
         m = 0
         for u, v in arcs:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"arc ({u}, {v}) out of range 1..{n}")
-            outs = succ.setdefault(u, set())
-            if v in outs:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            outs.add(v)
+            succ[u].append(v)
             m += 1
         self.m = m
-        self._succ = succ
+        self._succ = _sorted_adjacency(succ, n, "arc")
 
     def has_arc(self, u: int, v: int) -> bool:
         return v in self._succ.get(u, ())
 
     def successors(self, u: int) -> list[int]:
-        return sorted(self._succ.get(u, ()))
+        return list(self._succ.get(u, ()))
 
     def out_degree(self, u: int) -> int:
         return len(self._succ.get(u, ()))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
-        for u in sorted(self._succ):
-            for v in sorted(self._succ[u]):
+        for u, outs in self._succ.items():
+            for v in outs:
                 yield (u, v)
 
     def arc_set(self) -> set[tuple[int, int]]:
-        return {(u, v) for u, outs in self._succ.items() for v in outs}
-
-    def in_degrees(self) -> list[int]:
-        """In-degree of every vertex, indexed 1..n (slot 0 unused)."""
-        deg = [0] * (self.n + 1)
-        for outs in self._succ.values():
-            for v in outs:
-                deg[v] += 1
-        return deg
+        return set(self.arcs())
 
     def without_arcs(self, removed: Iterable[tuple[int, int]]) -> "DirectedGraph":
         """New graph with the given arcs removed; all must be present."""
@@ -71,7 +79,7 @@ class DirectedGraph:
         return (
             isinstance(other, DirectedGraph)
             and self.n == other.n
-            and self.arc_set() == other.arc_set()
+            and self._succ == other._succ
         )
 
     def __repr__(self):
@@ -85,45 +93,38 @@ class UndirectedGraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        adj: dict[int, set[int]] = {}
+        adj: dict[int, list[int]] = defaultdict(list)
         m = 0
         for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at {a}")
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge ({a}, {b}) out of range 1..{n}")
-            na = adj.setdefault(a, set())
-            if b in na:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            na.add(b)
-            adj.setdefault(b, set()).add(a)
+            adj[a].append(b)
+            adj[b].append(a)
             m += 1
         self.m = m
-        self._adj = adj
+        self._adj = _sorted_adjacency(adj, n, "edge")
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj.get(v, ()))
+        return list(self._adj.get(v, ()))
 
     def degree(self, v: int) -> int:
         return len(self._adj.get(v, ()))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for a in sorted(self._adj):
-            for b in sorted(self._adj[a]):
+        for a, nbrs in self._adj.items():
+            for b in nbrs:
                 if a < b:
                     yield (a, b)
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b}
+        return set(self.edges())
 
     def __eq__(self, other):
         return (
             isinstance(other, UndirectedGraph)
             and self.n == other.n
-            and self.edge_set() == other.edge_set()
+            and self._adj == other._adj
         )
 
     def __repr__(self):

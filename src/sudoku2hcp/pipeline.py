@@ -8,17 +8,23 @@ from .construct import build_hcp, prune_fixed, recover_solution
 from .graphs import DirectedGraph, UndirectedGraph
 from .solve import SolveBudget, SolveOutcome, solve_hcp, verify_cycle
 from .sudoku import Grid, SudokuInstance, validate_grid
-from .transform import CycleLifter, Infeasible, compress_triples, reduce_graph, undirect
+from .transform import CycleLifter, Infeasible, reduce_graph, undirect
 
 
 @dataclass
 class PipelineConfig:
-    """Stage toggles and solve limits for one pipeline run."""
+    """Stage toggles and solve limits for one pipeline run.
 
+    prune removes the arcs the clues make redundant, which is how the clues
+    reach the graph.  reduce runs reduce_graph before the search.  budget
+    limits the search.  seed is passed to solve_hcp and has no effect.
+    """
+
+    # kept for the benchmark harness, which reads it; the CLI always prunes
     prune: bool = True
-    compress: bool = False
     reduce: bool = True
     budget: SolveBudget = field(default_factory=SolveBudget)
+    # kept for the benchmark harness, which passes it on to solve_hcp
     seed: int = 0
 
 
@@ -43,9 +49,9 @@ def solve_instance(
 ) -> PipelineResult:
     """Run the full pipeline on a parsed instance.
 
-    Build the directed encoding, optionally prune for the clues, convert to
-    undirected, optionally compress triples and reduce, search for a cycle,
-    lift it back to the directed graph and decode the grid.  The decoded
+    Build the directed encoding, prune for the clues, convert to undirected,
+    optionally reduce, search for a cycle, lift it back to the directed
+    graph and decode the grid.  The decoded
     grid is checked against the encoding graph and the instance before it
     is returned.
     """
@@ -58,9 +64,6 @@ def solve_instance(
         directed, pruned_arcs = prune_fixed(directed, instance)
 
     graph, lifter = undirect(directed)
-    if config.compress:
-        graph, step = compress_triples(graph, n)
-        lifter = lifter + step
     if config.reduce:
         reduced = reduce_graph(graph)
         if isinstance(reduced, Infeasible):

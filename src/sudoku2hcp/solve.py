@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .graphs import DirectedGraph, UndirectedGraph
-from .transform import orient_and_project, undirect
+from .transform import undirect
 
 
 class Contradiction(Exception):
@@ -262,14 +262,14 @@ def _pick_branch_edge(state: SolveState) -> int | None:
 def solve_hcp(
     g: UndirectedGraph,
     budget: SolveBudget | None = None,
+    # no effect; kept because the benchmark harness passes it
     seed: int = 0,
 ) -> SolveOutcome:
     """Complete backtracking search for a Hamiltonian cycle.
 
-    Deterministic for fixed inputs; the seed parameter is reserved for a
-    future randomised restart mode and currently has no effect.  A graph
-    with fewer edges than vertices is answered 'no_cycle' before anything
-    is allocated per vertex.
+    Deterministic for fixed inputs; seed is ignored.  A graph with fewer
+    edges than vertices is answered 'no_cycle' before anything is allocated
+    per vertex.
     """
     del seed
     if g.n < 3:
@@ -344,19 +344,16 @@ def solve_hcp(
             return outcome("no_cycle")
 
 
-def solve_directed(
-    g: DirectedGraph,
-    budget: SolveBudget | None = None,
-    seed: int = 0,
-) -> SolveOutcome:
-    """Solve a directed instance through the undirected conversion."""
+def solve_directed(g: DirectedGraph, budget: SolveBudget | None = None) -> SolveOutcome:
+    """Solve a directed instance through the undirected conversion and lift
+    the cycle back through its triplication journal."""
     ug, lifter = undirect(g)
-    out = solve_hcp(ug, budget, seed)
+    out = solve_hcp(ug, budget)
     if out.status == "cycle":
-        projected = orient_and_project(out.cycle, lifter)
-        if not verify_cycle(g, projected):
-            raise RuntimeError("internal error: projected cycle failed verification")
-        out.cycle = projected
+        lifted = lifter.lift(out.cycle)
+        if not verify_cycle(g, lifted):
+            raise RuntimeError("internal error: lifted cycle failed verification")
+        out.cycle = lifted
     return out
 
 

@@ -188,8 +188,8 @@ def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
 
 
 def triplicate_cycle(cycle: list[int]) -> list[int]:
-    """The undirected cycle corresponding to a directed one (test helper and
-    inverse of orient_and_project)."""
+    """The undirected cycle corresponding to a directed one (test helper;
+    lift_cycle through the triplication journal inverts it)."""
     out: list[int] = []
     for v in cycle:
         out.extend((in_copy(v), mid_copy(v), out_copy(v)))
@@ -222,13 +222,6 @@ def _project_triplication(cycle: list[int], n: int) -> list[int]:
         out.append((a + 2) // 3)
     low = out.index(min(out))
     return out[low:] + out[:low]
-
-
-def orient_and_project(cycle: list[int], lifter: CycleLifter) -> list[int]:
-    """Map a cycle of the triplicated graph back to the directed graph."""
-    if len(lifter.records) != 1 or not isinstance(lifter.records[0], Triplication):
-        raise ValueError("lifter is not a plain triplication journal")
-    return _project_triplication(cycle, lifter.records[0].n)
 
 
 def compress_triples(

@@ -6,6 +6,7 @@ it checks."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from functools import lru_cache
 
 from sudoku2hcp import (
@@ -25,6 +26,16 @@ SOLUTION_35 = (
     "468253719123479568579168234214385697356791482"
     "897624153631842975745936821982517346"
 )
+
+
+def peak_bytes(f) -> int:
+    """Peak traced allocation, in bytes, while f() runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_directed_hamiltonian(n: int, arcs) -> list[int] | None:

@@ -50,6 +50,19 @@ def test_pipeline_well_formed_puzzle(puzzle_file, capsys):
     assert [grid] == inst
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["pipeline", "--no-prune"], ["pipeline", "--compress"],
+     ["pipeline", "--seed", "1"], ["solve", "-o", "c.cyc", "--seed", "1"]],
+)
+def test_removed_options_rejected(puzzle_file, capsys, argv):
+    path = puzzle_file("p.txt", "2" + "." * 15)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [path] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_pipeline_inconsistent_exit_3(puzzle_file, capsys):
     path = puzzle_file("bad.txt", "11..............")
     rc = main(["pipeline", path])

@@ -27,7 +27,7 @@ from sudoku2hcp import (
     verify_cycle,
     write_cycle,
 )
-from _support import random_undirected
+from _support import peak_bytes, random_undirected
 
 
 class TestGraphFormat:
@@ -193,3 +193,13 @@ class TestStats:
         text = format_stats(graph_stats(g))
         assert "vertices: 3" in text
         assert "average degree: 2.0000" in text
+
+    @pytest.mark.parametrize("kind", ["UHCP", "DHCP"])
+    def test_memory_follows_the_file_not_the_header(self, kind):
+        # a header claiming a million vertices, with one arc or edge
+        text = f"{kind} 1000000 1\n1 2\n"
+        assert peak_bytes(lambda: graph_stats(import_graph(text))) < 1_000_000
+        st_ = graph_stats(import_graph(text))
+        assert st_.vertices == 1_000_000
+        assert st_.min_degree == 0 and st_.max_degree == 1
+        assert st_.histogram == ((0, 999_998), (1, 2))

@@ -13,7 +13,6 @@ from sudoku2hcp import (
     build_hcp,
     compress_triples,
     lift_cycle,
-    orient_and_project,
     prune_fixed,
     recover_solution,
     reduce_graph,
@@ -77,32 +76,33 @@ class TestUndirect:
 
 
 class TestProject:
+    # lifting through a bare triplication journal projects the cycle
+    # back onto the directed graph
+
     def test_two_vertex_cycle(self):
-        g = DirectedGraph(2, [(1, 2), (2, 1)])
-        _, lifter = undirect(g)
-        assert orient_and_project([1, 2, 3, 4, 5, 6], lifter) == [1, 2]
-        assert orient_and_project([6, 5, 4, 3, 2, 1], lifter) == [1, 2]
+        lifter = CycleLifter((Triplication(2),))
+        assert lift_cycle(lifter, [1, 2, 3, 4, 5, 6]) == [1, 2]
+        assert lift_cycle(lifter, [6, 5, 4, 3, 2, 1]) == [1, 2]
+        # any rotation, in either direction
+        assert lift_cycle(lifter, [4, 5, 6, 1, 2, 3]) == [1, 2]
+        assert lift_cycle(lifter, [2, 1, 6, 5, 4, 3]) == [1, 2]
 
     def test_witness_round_trip(self):
         g = build_hcp(4)
         ug, lifter = undirect(g)
+        assert lifter == CycleLifter((Triplication(g.n),))
         sol = all_order4_solutions()[42]
         w = witness_cycle(blank_instance(4), sol)
         tc = triplicate_cycle(w)
         assert verify_cycle(ug, tc)
-        back = orient_and_project(tc, lifter)
+        back = lift_cycle(lifter, tc)
         assert verify_cycle(g, back)
         assert recover_solution(back, 4) == sol
 
     def test_broken_triple_rejected(self):
-        g = DirectedGraph(2, [(1, 2), (2, 1)])
-        _, lifter = undirect(g)
-        with pytest.raises(ValueError):
-            orient_and_project([1, 2, 4, 3, 5, 6], lifter)
-
-    def test_wrong_lifter_rejected(self):
-        with pytest.raises(ValueError):
-            orient_and_project([1, 2, 3], CycleLifter())
+        lifter = CycleLifter((Triplication(2),))
+        with pytest.raises(ValueError, match="triples"):
+            lift_cycle(lifter, [1, 2, 4, 3, 5, 6])
 
 
 class TestCompress:
