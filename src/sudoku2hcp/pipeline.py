@@ -16,7 +16,8 @@ class PipelineConfig:
     """Stage toggles and solve limits for one pipeline run.
 
     prune removes the arcs the clues make redundant, which is how the clues
-    reach the graph.  reduce runs reduce_graph before the search.  budget
+    reach the graph; without it solve_instance takes only blank instances.
+    reduce runs reduce_graph before the search.  budget
     limits the search.  seed is passed to solve_hcp and has no effect.
     """
 
@@ -51,16 +52,21 @@ def solve_instance(
 
     Build the directed encoding, prune for the clues, convert to undirected,
     optionally reduce, search for a cycle, lift it back to the directed
-    graph and decode the grid.  The decoded
-    grid is checked against the encoding graph and the instance before it
-    is returned.
+    graph and decode the grid.  The decoded grid is checked against the
+    encoding graph and the instance before it is returned.  Raises
+    ValueError, before building anything, when config.prune is False and
+    the instance has clues.
     """
     if config is None:
         config = PipelineConfig()
+    if not config.prune and instance.clues:
+        raise ValueError(
+            "clues reach the graph only by pruning: prune=False needs a blank instance"
+        )
     n = instance.order
     directed = build_hcp(n)
     pruned_arcs = 0
-    if config.prune and instance.clues:
+    if instance.clues:
         directed, pruned_arcs = prune_fixed(directed, instance)
 
     graph, lifter = undirect(directed)
@@ -91,14 +97,11 @@ def solve_instance(
     if not verify_cycle(directed, directed_cycle):
         raise RuntimeError("internal error: lifted cycle failed verification")
     grid = recover_solution(directed_cycle, n)
-    if config.prune:
-        # the pruned graph only admits clue-honouring cycles; without
-        # pruning the solver may legitimately return any valid grid
-        violations = validate_grid(instance, grid)
-        if violations:
-            raise RuntimeError(
-                f"internal error: recovered grid violates {violations[:3]}"
-            )
+    violations = validate_grid(instance, grid)
+    if violations:
+        raise RuntimeError(
+            f"internal error: recovered grid violates {violations[:3]}"
+        )
     return PipelineResult(
         "solved",
         grid,

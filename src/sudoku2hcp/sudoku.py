@@ -244,7 +244,9 @@ def enumerate_solutions(instance: SudokuInstance, limit: int) -> list[Grid]:
 
     Cells are filled in row-major order and values tried in ascending order,
     so the result list is deterministic: grids appear in lexicographic order
-    of their row-major value sequence.
+    of their row-major value sequence.  The search keeps its own stack, so
+    its depth, one level per blank cell, is not bounded by Python's
+    recursion limit.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -267,31 +269,39 @@ def enumerate_solutions(instance: SudokuInstance, limit: int) -> list[Grid]:
         for j in range(1, n + 1)
         if cells[i][j] == 0
     ]
-    out: list[Grid] = []
 
-    def dfs(idx: int) -> None:
-        if len(out) >= limit:
-            return
-        if idx == len(todo):
-            out.append(Grid(n, tuple(tuple(cells[i][1:]) for i in range(1, n + 1))))
-            return
+    def free(idx: int) -> int:
+        """The values cell todo[idx] can take, as a bit set."""
         i, j, a = todo[idx]
-        avail = full & ~(row_used[i] | col_used[j] | blk_used[a])
-        while avail:
+        return full & ~(row_used[i] | col_used[j] | blk_used[a])
+
+    out: list[Grid] = []
+    # rest[d] is the bit set of values not yet tried in cell todo[d]; the
+    # explicit stack keeps the search depth off Python's call stack
+    rest: list[int] = []
+    avail = free(0) if todo else 0
+    while True:
+        depth = len(rest)
+        if depth == len(todo):
+            out.append(Grid(n, tuple(tuple(cells[i][1:]) for i in range(1, n + 1))))
+            if len(out) >= limit:
+                return out
+        elif avail:
             bit = avail & -avail
-            avail -= bit
-            k = bit.bit_length()
-            cells[i][j] = k
+            i, j, a = todo[depth]
+            cells[i][j] = bit.bit_length()
             row_used[i] |= bit
             col_used[j] |= bit
             blk_used[a] |= bit
-            dfs(idx + 1)
-            row_used[i] &= ~bit
-            col_used[j] &= ~bit
-            blk_used[a] &= ~bit
-            cells[i][j] = 0
-            if len(out) >= limit:
-                return
-
-    dfs(0)
-    return out
+            rest.append(avail - bit)
+            avail = free(depth + 1) if depth + 1 < len(todo) else 0
+            continue
+        if not rest:
+            return out
+        i, j, a = todo[depth - 1]
+        bit = 1 << (cells[i][j] - 1)
+        row_used[i] &= ~bit
+        col_used[j] &= ~bit
+        blk_used[a] &= ~bit
+        cells[i][j] = 0
+        avail = rest.pop()

@@ -271,6 +271,10 @@ def compress_triples(
     return out, CycleLifter(tuple(records))
 
 
+# a deleted vertex's adjacency: never a neighbour, so never mutated
+_GONE: frozenset[int] = frozenset()
+
+
 def reduce_graph(
     g: UndirectedGraph,
 ) -> tuple[UndirectedGraph, CycleLifter] | Infeasible:
@@ -280,79 +284,180 @@ def reduce_graph(
     Rule 2: a vertex with two degree-2 neighbours keeps only the edges to
     them; its other edges can never be used and are deleted.
 
-    Passes scan vertices in ascending id and apply rule 2 before rule 1,
-    since rule 2 creates the chains that rule 1 collapses.  Returns
-    Infeasible when the rules certify that no Hamiltonian cycle exists:
-    fewer edges than vertices (checked before anything is allocated per
-    vertex), a vertex with three or more degree-2 neighbours, a vertex
-    left with fewer than two edges, or a contraction that would double an
-    edge in a graph larger than a triangle (a forced short cycle).
-    Records name vertices by their ids in g.
+    Each pass scans its pending vertices in ascending id, first for rule 2
+    and then for rule 1, since rule 2 creates the chains that rule 1
+    collapses; in the first pass every vertex is pending.  Only a rule-2
+    deletion changes what either rule finds at a vertex.  Deleting edges
+    of v leaves v with degree 2, so v and its two kept neighbours become
+    pending for this pass's rule-1 scan.  A dropped neighbour w that falls
+    to degree 2 makes w and its neighbours pending for rule 1, and its
+    neighbours for rule 2 too: in this scan if they lie above v, in the
+    next pass's otherwise.  A contraction keeps every degree and swaps one
+    degree-2 neighbour for another, so it makes nothing pending.  Every
+    vertex of a degree-2 path is then pending, so the rule-1 scan meets
+    each path at its smallest id and collapses the whole path there.  The
+    passes end when nothing is pending for rule 2.  The records, the
+    reduced graph and the reasons are exactly those of the pass-by-pass
+    scan that visits every vertex on every pass (ascending ids, rule 2
+    before rule 1) until a pass changes nothing.
+
+    Returns Infeasible when the rules certify that no Hamiltonian cycle
+    exists: fewer edges than vertices (checked before anything is
+    allocated per vertex), a vertex with three or more degree-2
+    neighbours, a vertex left with fewer than two edges, or a contraction
+    that would double an edge in a graph larger than a triangle (a forced
+    short cycle).  Records name vertices by their ids in g.
     """
     if g.n < 4:
         raise ValueError("reduction expects at least 4 vertices")
     if g.m < g.n:
         return Infeasible(f"{g.m} edges cannot cover {g.n} vertices")
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
-    for v, nbrs in adj.items():
-        if len(nbrs) < 2:
-            return Infeasible(f"vertex {v} has degree {len(nbrs)}")
-    alive = set(adj)
+    n = g.n
+    adj: list[set[int] | frozenset[int]] = [_GONE]
+    adj.extend(set(g.neighbors(v)) for v in range(1, n + 1))
+    for v in range(1, n + 1):
+        if len(adj[v]) < 2:
+            return Infeasible(f"vertex {v} has degree {len(adj[v])}")
     records: list[Record] = []
-    changed = True
-    while changed:
-        changed = False
-
-        for v in sorted(alive):
+    alive = n
+    rule2 = bytearray(b"\x01") * (n + 1)
+    rule1 = bytearray(rule2)
+    while True:
+        next_rule2 = bytearray(n + 1)
+        v = rule2.find(1, 1)
+        while v != -1:
             nbrs = adj[v]
-            deg2 = [u for u in nbrs if len(adj[u]) == 2]
-            if len(deg2) >= 3:
-                return Infeasible(
-                    f"vertex {v} has {len(deg2)} degree-2 neighbours"
-                )
-            if len(deg2) == 2 and len(nbrs) > 2:
-                others = sorted(nbrs.difference(deg2))
-                dropped = []
-                for w in others:
-                    adj[v].discard(w)
-                    adj[w].discard(v)
-                    dropped.append((v, w) if v < w else (w, v))
-                records.append(EdgeDeletion(tuple(dropped)))
-                changed = True
+            if len(nbrs) > 2:
+                deg2 = [u for u in nbrs if len(adj[u]) == 2]
+                if len(deg2) >= 3:
+                    return Infeasible(
+                        f"vertex {v} has {len(deg2)} degree-2 neighbours"
+                    )
+                if len(deg2) == 2:
+                    dropped = []
+                    for w in sorted(nbrs.difference(deg2)):
+                        nbrs.discard(w)
+                        around = adj[w]
+                        around.discard(v)
+                        dropped.append((v, w) if v < w else (w, v))
+                        if len(around) == 2:
+                            rule1[w] = 1
+                            for x in around:
+                                rule1[x] = 1
+                                if x > v:
+                                    rule2[x] = 1
+                                else:
+                                    next_rule2[x] = 1
+                    records.append(EdgeDeletion(tuple(dropped)))
+                    rule1[v] = rule1[deg2[0]] = rule1[deg2[1]] = 1
+            v = rule2.find(1, v + 1)
 
-        for v in sorted(alive):
-            if v not in alive:
-                continue
-            node = v
-            while len(adj.get(node, ())) == 2:
-                partners = sorted(u for u in adj[node] if len(adj[u]) == 2)
-                if not partners:
-                    break
-                s, t = (node, partners[0]) if node < partners[0] else (partners[0], node)
-                p = next(iter(adj[s] - {t}))
-                q = next(iter(adj[t] - {s}))
-                if p == q:
-                    if len(alive) > 3:
-                        return Infeasible(
-                            f"contracting ({s}, {t}) would double edge to {p}"
-                        )
-                    break  # a bare triangle is terminal and Hamiltonian
-                records.append(Contraction(s, t, p, q))
-                adj[s].discard(t)
-                adj[s].add(q)
-                adj[q].discard(t)
-                adj[q].add(s)
-                del adj[t]
-                alive.discard(t)
-                changed = True
-                node = s
+        v = rule1.find(1, 1)
+        while v != -1:
+            if len(adj[v]) == 2:
+                a, b = adj[v]
+                if len(adj[a]) == 2 or len(adj[b]) == 2:
+                    alive = _contract_path(adj, v, records, alive)
+                    if isinstance(alive, Infeasible):
+                        return alive
+            v = rule1.find(1, v + 1)
 
-    alive_sorted = sorted(alive)
-    new_id = {v: idx + 1 for idx, v in enumerate(alive_sorted)}
+        if next_rule2.find(1) == -1:
+            break
+        rule2, rule1 = next_rule2, bytearray(n + 1)
+
+    new_id = [0] * (n + 1)
+    k = 0
+    for v in range(1, n + 1):
+        if adj[v]:
+            k += 1
+            new_id[v] = k
     edges = [
-        (new_id[a], new_id[b]) for a in alive_sorted for b in adj[a] if a < b
+        (new_id[a], new_id[b]) for a in range(1, n + 1) for b in adj[a] if a < b
     ]
-    return UndirectedGraph(len(alive_sorted), edges), CycleLifter(tuple(records))
+    return UndirectedGraph(k, edges), CycleLifter(tuple(records))
+
+
+def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:
+    """The degree-2 vertices from `head` away from m, in order, and the
+    vertex after them: the end the path attaches to, or m for a cycle."""
+    side: list[int] = []
+    prev, cur = m, head
+    while cur != m and len(adj[cur]) == 2:
+        side.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return side, cur
+
+
+def _contract_path(
+    adj: list, m: int, records: list[Record], alive: int
+) -> int | Infeasible:
+    """Collapse the degree-2 path through m, its smallest id, into m and
+    return how many vertices are left alive.
+
+    Contracting step by step always keeps m and absorbs the smaller of its
+    two degree-2 neighbours, so the records merge the path's two sides
+    head by head.  A cycle of degree-2 vertices and a path whose ends
+    attach to one vertex end in Infeasible or the terminal triangle, and
+    take the step-by-step walk.
+    """
+    a, b = adj[m]
+    left, end_l = _path_side(adj, m, a)
+    if end_l == m:
+        return _contract_stepwise(adj, m, records, alive)
+    right, end_r = _path_side(adj, m, b)
+    if end_l == end_r:
+        return _contract_stepwise(adj, m, records, alive)
+    i = j = 0
+    nl, nr = len(left), len(right)
+    while i < nl or j < nr:
+        if j == nr or (i < nl and left[i] < right[j]):
+            t = left[i]
+            i += 1
+            p = right[j] if j < nr else end_r
+            q = left[i] if i < nl else end_l
+        else:
+            t = right[j]
+            j += 1
+            p = left[i] if i < nl else end_l
+            q = right[j] if j < nr else end_r
+        records.append(Contraction(m, t, p, q))
+        adj[t] = _GONE
+    adj[m] = {end_l, end_r}
+    if left:
+        adj[end_l].discard(left[-1])
+        adj[end_l].add(m)
+    if right:
+        adj[end_r].discard(right[-1])
+        adj[end_r].add(m)
+    return alive - nl - nr
+
+
+def _contract_stepwise(
+    adj: list, node: int, records: list[Record], alive: int
+) -> int | Infeasible:
+    """Contract node with its smaller degree-2 neighbour until it has none."""
+    while len(adj[node]) == 2:
+        partners = sorted(u for u in adj[node] if len(adj[u]) == 2)
+        if not partners:
+            break
+        s, t = (node, partners[0]) if node < partners[0] else (partners[0], node)
+        p = next(iter(adj[s] - {t}))
+        q = next(iter(adj[t] - {s}))
+        if p == q:
+            if alive > 3:
+                return Infeasible(f"contracting ({s}, {t}) would double edge to {p}")
+            break  # a bare triangle is terminal and Hamiltonian
+        records.append(Contraction(s, t, p, q))
+        adj[s].discard(t)
+        adj[s].add(q)
+        adj[q].discard(t)
+        adj[q].add(s)
+        adj[t] = _GONE
+        alive -= 1
+        node = s
+    return alive
 
 
 def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:

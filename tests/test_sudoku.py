@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,16 @@ from sudoku2hcp import (
     parse_sudoku,
     validate_grid,
 )
-from _support import all_order4_solutions
+from _support import all_order4_solutions, enumerate_solutions_recursive
+
+
+def call_depth() -> int:
+    """Frames on the call stack, this one included."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 GRID_4 = Grid.from_rows([(1, 2, 3, 4), (3, 4, 1, 2), (2, 1, 4, 3), (4, 3, 2, 1)])
@@ -186,6 +196,21 @@ class TestEnumerate:
 
     def test_limit_respected(self):
         assert len(enumerate_solutions(blank_instance(4), 7)) == 7
+
+    @pytest.mark.parametrize("limit", [1, 3])
+    def test_depth_not_bounded_by_recursion_limit(self, limit):
+        # a blank 9x9 has 81 blank cells, one call level each when recursive
+        want = enumerate_solutions_recursive(blank_instance(9), limit)
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(call_depth() + 40)
+        try:
+            got = enumerate_solutions(blank_instance(9), limit)
+            with pytest.raises(RecursionError):
+                enumerate_solutions_recursive(blank_instance(9), limit)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert len(got) == limit
+        assert got == want
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,9 @@ from sudoku2hcp import (
     blank_instance,
     build_hcp,
     compress_triples,
+    export_graph,
     lift_cycle,
+    parse_sudoku,
     prune_fixed,
     recover_solution,
     reduce_graph,
@@ -24,10 +26,12 @@ from sudoku2hcp import (
 )
 from sudoku2hcp.transform import Contraction, EdgeDeletion, GadgetRemoval, Triplication
 from _support import (
+    PUZZLE_35,
     all_order4_solutions,
     brute_directed_hamiltonian,
     brute_undirected_hamiltonian,
     random_directed_arcs,
+    reduce_graph_by_passes,
     well_formed_order4,
 )
 
@@ -247,6 +251,112 @@ class TestReduce:
             directed = (lifter + step).lift(cyc)
             assert verify_cycle(pruned, directed)
             assert recover_solution(directed, 4) == sol
+
+
+def reduce_text(out):
+    """What reduce_graph's answer pins: the Infeasible reason, or the
+    reduced graph's file text and the journal records."""
+    if isinstance(out, Infeasible):
+        return out.reason
+    reduced, lifter = out
+    return export_graph(reduced), lifter.records
+
+
+def random_reduce_input(rng: random.Random) -> UndirectedGraph:
+    """n in 4..40 and m in n..3n (at most every pair); every other graph
+    contains a random Hamiltonian cycle, so most of those pass the degree
+    check and exercise both rules."""
+    n = rng.randint(4, 40)
+    m = rng.randint(n, min(3 * n, n * (n - 1) // 2))
+    edges = set()
+    if rng.random() < 0.5:
+        ring = rng.sample(range(1, n + 1), n)
+        edges.update(
+            (min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])
+        )
+    while len(edges) < m:
+        a, b = rng.sample(range(1, n + 1), 2)
+        edges.add((min(a, b), max(a, b)))
+    return UndirectedGraph(n, sorted(edges))
+
+
+def thinned_order4_graph(rng: random.Random) -> UndirectedGraph:
+    solution = rng.choice(all_order4_solutions())
+    cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    cells = rng.sample(cells, rng.randint(1, 3))
+    inst = SudokuInstance(4, {c: solution.value(*c) for c in cells})
+    pruned, _ = prune_fixed(build_hcp(4), inst)
+    return undirect(pruned)[0]
+
+
+class TestReduceMatchesPassByPass:
+    """reduce_graph against the pass-by-pass scan it replaced: the same
+    records in the same order, the same reduced graph, the same reasons."""
+
+    def test_random_graphs(self):
+        rng = random.Random(2024)
+        infeasible = 0
+        for _ in range(2400):
+            g = random_reduce_input(rng)
+            want = reduce_text(reduce_graph_by_passes(g))
+            assert reduce_text(reduce_graph(g)) == want, list(g.edges())
+            infeasible += isinstance(want, str)
+        # both outcomes are well represented
+        assert 400 < infeasible < 2000
+
+    def test_order4_thinnings(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            g = thinned_order4_graph(rng)
+            want = reduce_text(reduce_graph_by_passes(g))
+            assert reduce_text(reduce_graph(g)) == want
+
+    def test_puzzle_35(self):
+        pruned, _ = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))
+        g = undirect(pruned)[0]
+        want = reduce_text(reduce_graph_by_passes(g))
+        assert not isinstance(want, str)
+        assert reduce_text(reduce_graph(g)) == want
+
+    def test_four_cycle_ends_in_triangle(self):
+        # a cycle of degree-2 vertices takes the step-by-step walk: one
+        # contraction, then the terminal triangle
+        g = cycle_graph(4)
+        out = reduce_graph(g)
+        assert reduce_text(out) == reduce_text(reduce_graph_by_passes(g))
+        reduced, lifter = out
+        assert lifter.records == (Contraction(1, 2, 4, 3),)
+        assert reduced.edge_set() == {(1, 2), (1, 3), (2, 3)}
+
+    def test_path_ends_at_one_vertex(self):
+        # rule 2 at 4 leaves the path 6-4-1-7 of degree-2 vertices, and
+        # both its ends attach to 2, which the rule-2 scan passed already
+        edges = [(1, 4), (1, 7), (2, 3), (2, 5), (2, 6), (2, 7),
+                 (3, 4), (3, 5), (4, 5), (4, 6), (4, 7)]
+        g = UndirectedGraph(7, edges)
+        want = Infeasible("contracting (1, 7) would double edge to 2")
+        assert reduce_graph_by_passes(g) == want
+        assert reduce_graph(g) == want
+
+    def test_deletion_below_cursor_feeds_next_pass(self):
+        # rule 2 at 4 drops (4, 5), so 5 falls to degree 2 and its
+        # neighbours 1 and 2, both already scanned, gain a degree-2
+        # neighbour; the second pass's rule 2 at 1 drops (1, 2) and
+        # closes the 4-cycle 1-3-2-5 that rule 1 then contracts
+        edges = [(1, 2), (1, 3), (1, 5), (2, 5), (2, 6), (3, 4), (4, 5), (4, 6)]
+        g = UndirectedGraph(6, edges)
+        out = reduce_graph(g)
+        assert reduce_text(out) == reduce_text(reduce_graph_by_passes(g))
+        reduced, lifter = out
+        assert lifter.records == (
+            EdgeDeletion(((4, 5),)),
+            Contraction(3, 4, 1, 6),
+            Contraction(3, 6, 1, 2),
+            EdgeDeletion(((1, 2),)),
+            Contraction(1, 3, 5, 2),
+        )
+        assert reduced.n == 3
+        assert verify_cycle(g, lift_cycle(lifter, [1, 2, 3]))
 
 
 class TestLift:
