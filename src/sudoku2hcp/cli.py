@@ -77,6 +77,10 @@ def _cmd_undirect(args) -> int:
     g = import_graph(_read(args.graph))
     if not isinstance(g, DirectedGraph):
         raise ValueError(f"{args.graph} holds an undirected graph already")
+    if g.m < g.n:
+        # a Hamiltonian cycle uses n arcs; answered before the 2n chain edges
+        print(f"infeasible: {g.m} arcs cannot cover {g.n} vertices", file=sys.stderr)
+        return UNSAT
     ug, lifter = undirect(g)
     _write(args.out, export_graph(ug))
     _write(args.journal_out, save_journal(lifter))

@@ -102,6 +102,19 @@ class UndirectedGraph:
         self.m = m
         self._adj = _sorted_adjacency(adj, n, "edge")
 
+    @classmethod
+    def _from_adjacency(cls, n: int, adj: dict[int, list[int]]) -> "UndirectedGraph":
+        """Graph from each vertex's neighbour list, keys ascending, where b
+        is listed under a exactly when a is listed under b.  The lists are
+        sorted in place and checked as the public constructor checks them."""
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = _sorted_adjacency(adj, n, "edge")
+        g.m = sum(map(len, g._adj.values())) // 2
+        return g
+
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
 

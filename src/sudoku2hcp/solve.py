@@ -7,6 +7,12 @@ others, and an edge joining the two ends of a forced path may not close a
 cycle that is shorter than the whole graph.  Search branches on an
 undecided edge at a vertex of minimum remaining degree, trying inclusion
 first, and never returns a cycle it has not verified.
+
+The branch vertex comes from buckets of open vertices keyed by usable
+degree, kept current by every decision and every undo: it is the smallest
+id in the lowest non-empty bucket, found by walking up from a lower bound
+on that bucket's ids rather than by scanning every vertex.  The trail holds one entry per decision (an exclusion, or a force
+with the path ends it joined), and rollback undoes decisions newest first.
 """
 
 from __future__ import annotations
@@ -64,69 +70,104 @@ UNDECIDED, FORCED, EXCLUDED = 0, 1, -1
 
 
 class SolveState:
-    """Edge states plus the forced-path bookkeeping for one undirected graph."""
+    """Edge states plus the forced-path bookkeeping for one undirected graph.
+
+    Edges are numbered in ascending (u, v) order, u < v.  inc[v] lists the
+    ids of v's edges in the order of nbrs[v], v's ascending neighbours, so
+    an edge is found by scanning its endpoint's neighbours.  An open vertex
+    (more usable edges than forced ones, so it has an undecided edge) sits
+    in buckets[d] for its usable degree d, and no id in buckets[d] is below
+    floor[d]: an add lowers the floor, the branch choice raises it to the
+    bucket's smallest id.  The trail records decisions:
+    ~e for an exclusion, and eu, ev, len eu, len ev, e for a force, with
+    the path ends and lengths as they were before it.
+    """
 
     def __init__(self, g: UndirectedGraph):
         self.g = g
         n = g.n
         self.n = n
-        self.edges: list[tuple[int, int]] = list(g.edges())
-        self.edge_id = {e: idx for idx, e in enumerate(self.edges)}
-        self.inc: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for idx, (u, v) in enumerate(self.edges):
-            self.inc[u].append((idx, v))
-            self.inc[v].append((idx, u))
-        self.state = [UNDECIDED] * len(self.edges)
+        nbrs = [g.neighbors(v) for v in range(n + 1)]
+        self.nbrs = nbrs
+        edges: list[tuple[int, int]] = []
+        inc: list[list[int]] = [[] for _ in range(n + 1)]
+        for u in range(1, n + 1):
+            inc_u = inc[u]
+            for v in nbrs[u]:
+                if u < v:
+                    inc_u.append(len(edges))
+                    inc[v].append(len(edges))
+                    edges.append((u, v))
+        self.edges = edges
+        self.inc = inc
+        self.state = [UNDECIDED] * len(edges)
         self.forced_deg = [0] * (n + 1)
-        self.avail_deg = [0] * (n + 1)
+        self.avail_deg = [len(vs) for vs in nbrs]
+        self.buckets: list[set[int]] = [set() for _ in range(max(self.avail_deg) + 1)]
         for v in range(1, n + 1):
-            self.avail_deg[v] = g.degree(v)
+            if self.avail_deg[v]:
+                self.buckets[self.avail_deg[v]].add(v)
+        self.floor = [1] * len(self.buckets)
         # forced edges form vertex-disjoint paths; endpoints map to the
         # opposite endpoint and carry the path's edge count
         self.path_other = list(range(n + 1))
         self.path_len = [0] * (n + 1)
         self.forced_total = 0
-        self.trail: list[tuple] = []
+        self.trail: list[int] = []
         self._force_queue: list[int] = []
         self._exclude_queue: list[int] = []
         self._seeded = False
-        self._arrays = {
-            "s": self.state,
-            "f": self.forced_deg,
-            "a": self.avail_deg,
-            "po": self.path_other,
-            "pl": self.path_len,
-        }
-
-    # trail helpers: every mutation is recorded so search can roll back
-
-    def _set_state(self, e: int, val: int) -> None:
-        self.trail.append(("s", e, self.state[e]))
-        self.state[e] = val
-
-    def _set(self, arr_tag: str, arr: list[int], i: int, val: int) -> None:
-        self.trail.append((arr_tag, i, arr[i]))
-        arr[i] = val
 
     def mark(self) -> int:
         return len(self.trail)
 
     def rollback(self, mark: int) -> None:
-        arrays = self._arrays
-        while len(self.trail) > mark:
-            tag, i, old = self.trail.pop()
-            if tag == "ft":
-                self.forced_total = old
+        """Undo every decision taken since mark, newest first."""
+        trail = self.trail
+        pop = trail.pop
+        state, edges = self.state, self.edges
+        fdeg, adeg, buckets = self.forced_deg, self.avail_deg, self.buckets
+        po, pl, floor = self.path_other, self.path_len, self.floor
+        while len(trail) > mark:
+            e = pop()
+            if e < 0:
+                e = ~e
+                state[e] = UNDECIDED
+                for w in edges[e]:
+                    d = adeg[w]
+                    if d > fdeg[w]:
+                        buckets[d].discard(w)
+                    d += 1
+                    adeg[w] = d
+                    buckets[d].add(w)
+                    if w < floor[d]:
+                        floor[d] = w
             else:
-                arrays[tag][i] = old
+                len_ev = pop()
+                len_eu = pop()
+                ev = pop()
+                eu = pop()
+                state[e] = UNDECIDED
+                u, v = edges[e]
+                for w in (u, v):
+                    fdeg[w] -= 1
+                    d = adeg[w]
+                    buckets[d].add(w)
+                    if w < floor[d]:
+                        floor[d] = w
+                po[eu] = u
+                po[ev] = v
+                pl[eu] = len_eu
+                pl[ev] = len_ev
+                self.forced_total -= 1
         self._force_queue.clear()
         self._exclude_queue.clear()
 
     def _edge(self, u: int, v: int) -> int:
-        e = self.edge_id.get((u, v) if u < v else (v, u))
-        if e is None:
+        nb = self.nbrs[u] if 1 <= u <= self.n else ()
+        if v not in nb:
             raise ValueError(f"no edge ({u}, {v})")
-        return e
+        return self.inc[u][nb.index(v)]
 
     def force(self, u: int, v: int) -> None:
         """Mark edge (u, v) as part of the cycle and queue consequences."""
@@ -142,66 +183,85 @@ class SolveState:
         return self.forced_total == self.n
 
     def _apply_force(self, e: int) -> None:
-        st = self.state[e]
+        state = self.state
+        st = state[e]
         if st == FORCED:
             return
         if st == EXCLUDED:
             raise Contradiction(f"edge {self.edges[e]} both needed and excluded")
         u, v = self.edges[e]
-        if self.forced_deg[u] == 2 or self.forced_deg[v] == 2:
+        fdeg = self.forced_deg
+        fu, fv = fdeg[u] + 1, fdeg[v] + 1
+        if fu == 3 or fv == 3:
             raise Contradiction(f"third forced edge at a vertex of {self.edges[e]}")
-        eu = self.path_other[u]
-        ev = self.path_other[v]
-        if eu == v:
-            # joining the two ends of one forced path
-            if self.path_len[u] != self.n - 1:
-                raise Contradiction(f"edge {self.edges[e]} closes a short cycle")
-            self._set_state(e, FORCED)
-            self._set("f", self.forced_deg, u, 2)
-            self._set("f", self.forced_deg, v, 2)
-            self.trail.append(("ft", 0, self.forced_total))
-            self.forced_total += 1
-            return
-        self._set_state(e, FORCED)
-        self._set("f", self.forced_deg, u, self.forced_deg[u] + 1)
-        self._set("f", self.forced_deg, v, self.forced_deg[v] + 1)
-        self.trail.append(("ft", 0, self.forced_total))
+        po, pl = self.path_other, self.path_len
+        eu = po[u]
+        ev = po[v]
+        n = self.n
+        if eu == v and pl[u] != n - 1:
+            # joining the two ends of one forced path too early
+            raise Contradiction(f"edge {self.edges[e]} closes a short cycle")
+        self.trail += (eu, ev, pl[eu], pl[ev], e)
+        state[e] = FORCED
+        fdeg[u] = fu
+        fdeg[v] = fv
         self.forced_total += 1
-        new_len = self.path_len[eu] + self.path_len[ev] + 1
-        self._set("po", self.path_other, eu, ev)
-        self._set("po", self.path_other, ev, eu)
-        self._set("pl", self.path_len, eu, new_len)
-        self._set("pl", self.path_len, ev, new_len)
-        closing = self.edge_id.get((eu, ev) if eu < ev else (ev, eu))
-        if new_len == self.n - 1:
+        adeg, buckets = self.avail_deg, self.buckets
+        if fu == adeg[u]:
+            buckets[fu].discard(u)
+        if fv == adeg[v]:
+            buckets[fv].discard(v)
+        if eu == v:
+            return
+        new_len = pl[eu] + pl[ev] + 1
+        po[eu] = ev
+        po[ev] = eu
+        pl[eu] = new_len
+        pl[ev] = new_len
+        nb = self.nbrs[eu]
+        closing = self.inc[eu][nb.index(ev)] if ev in nb else None
+        if new_len == n - 1:
             # the path spans every vertex, the closing edge must exist
-            if closing is None or self.state[closing] == EXCLUDED:
+            if closing is None or state[closing] == EXCLUDED:
                 raise Contradiction("spanning path cannot be closed")
             self._force_queue.append(closing)
-        elif closing is not None and self.state[closing] == UNDECIDED:
+        elif closing is not None and state[closing] == UNDECIDED:
             self._exclude_queue.append(closing)
-        for w in (u, v):
-            if self.forced_deg[w] == 2:
-                for e2, _ in self.inc[w]:
-                    if self.state[e2] == UNDECIDED:
-                        self._exclude_queue.append(e2)
+        xq = self._exclude_queue
+        if fu == 2:
+            xq += [e2 for e2 in self.inc[u] if state[e2] == UNDECIDED]
+        if fv == 2:
+            xq += [e2 for e2 in self.inc[v] if state[e2] == UNDECIDED]
 
     def _apply_exclude(self, e: int) -> None:
-        st = self.state[e]
+        state = self.state
+        st = state[e]
         if st == EXCLUDED:
             return
         if st == FORCED:
             raise Contradiction(f"edge {self.edges[e]} both needed and excluded")
-        self._set_state(e, EXCLUDED)
+        self.trail.append(~e)
+        state[e] = EXCLUDED
+        fdeg, adeg = self.forced_deg, self.avail_deg
+        buckets, floor = self.buckets, self.floor
+        short = 0
         for w in self.edges[e]:
-            left = self.avail_deg[w] - 1
-            self._set("a", self.avail_deg, w, left)
-            if left < 2:
-                raise Contradiction(f"vertex {w} has fewer than two usable edges")
-            if left == 2 and self.forced_deg[w] < 2:
-                for e2, _ in self.inc[w]:
-                    if self.state[e2] == UNDECIDED:
-                        self._force_queue.append(e2)
+            left = adeg[w] - 1
+            adeg[w] = left
+            buckets[left + 1].discard(w)
+            if left > fdeg[w]:
+                buckets[left].add(w)
+                if w < floor[left]:
+                    floor[left] = w
+                if left == 2:
+                    self._force_queue += [
+                        e2 for e2 in self.inc[w] if state[e2] == UNDECIDED
+                    ]
+            if left < 2 and not short:
+                short = w
+        if short:
+            # raised only once both ends are counted, as the trail undoes both
+            raise Contradiction(f"vertex {short} has fewer than two usable edges")
 
 
 def propagate(state: SolveState) -> SolveState:
@@ -213,15 +273,16 @@ def propagate(state: SolveState) -> SolveState:
             if state.avail_deg[v] < 2:
                 raise Contradiction(f"vertex {v} has fewer than two usable edges")
             if state.avail_deg[v] == 2:
-                for e, _ in state.inc[v]:
+                for e in state.inc[v]:
                     if state.state[e] == UNDECIDED:
                         state._force_queue.append(e)
     fq, xq = state._force_queue, state._exclude_queue
+    force, exclude = state._apply_force, state._apply_exclude
     while fq or xq:
         if fq:
-            state._apply_force(fq.pop())
+            force(fq.pop())
         else:
-            state._apply_exclude(xq.pop())
+            exclude(xq.pop())
     return state
 
 
@@ -243,20 +304,23 @@ def _extract_cycle(state: SolveState) -> list[int]:
 
 
 def _pick_branch_edge(state: SolveState) -> int | None:
-    best_v = 0
-    best_avail = 0
-    for v in range(1, state.n + 1):
-        if state.avail_deg[v] > state.forced_deg[v]:
-            if best_v == 0 or state.avail_deg[v] < best_avail:
-                best_v, best_avail = v, state.avail_deg[v]
-    if best_v == 0:
+    """The undecided edge to the lowest neighbour of the open vertex with
+    the fewest usable edges, lowest id first."""
+    for d, bucket in enumerate(state.buckets):
+        if bucket:
+            break
+    else:
         return None
-    best_e = -1
-    best_other = 0
-    for e, other in state.inc[best_v]:
-        if state.state[e] == UNDECIDED and (best_e < 0 or other < best_other):
-            best_e, best_other = e, other
-    return best_e
+    # the bucket's smallest id, found by walking up from its floor
+    for v in range(state.floor[d], state.n + 1):
+        if v in bucket:
+            break
+    state.floor[d] = v
+    st = state.state
+    for e in state.inc[v]:
+        if st[e] == UNDECIDED:
+            return e
+    return None
 
 
 def solve_hcp(

@@ -372,10 +372,8 @@ def reduce_graph(
         if adj[v]:
             k += 1
             new_id[v] = k
-    edges = [
-        (new_id[a], new_id[b]) for a in range(1, n + 1) for b in adj[a] if a < b
-    ]
-    return UndirectedGraph(k, edges), CycleLifter(tuple(records))
+    out = {new_id[v]: [new_id[w] for w in adj[v]] for v in range(1, n + 1) if adj[v]}
+    return UndirectedGraph._from_adjacency(k, out), CycleLifter(tuple(records))
 
 
 def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:

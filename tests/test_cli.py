@@ -13,7 +13,7 @@ from sudoku2hcp import (
 from sudoku2hcp.cli import main
 from sudoku2hcp.formats import export_graph
 from sudoku2hcp.transform import triplicate_cycle
-from _support import all_order4_solutions
+from _support import all_order4_solutions, peak_bytes
 
 BLANK4 = "." * 16
 PUZZLE4 = "1...2..3......2."
@@ -208,3 +208,18 @@ def test_recover_witness_exact_grid(puzzle_file, capsys):
     cf = puzzle_file("w.cycle", write_cycle(w))
     assert main(["recover", cf]) == 0
     assert parse_grid(capsys.readouterr().out) == sol
+
+
+def test_undirect_fewer_arcs_than_vertices(puzzle_file, capsys, tmp_path):
+    # a header claiming 200k vertices and no arcs: answered before any of
+    # the 2n chain edges exist, with nothing written
+    d = str(tmp_path)
+    path = puzzle_file("empty.dhcp", "DHCP 200000 0\n")
+    argv = ["undirect", path, "-o", f"{d}/g.uhcp", "--journal-out", f"{d}/j"]
+    rcs = []
+    assert peak_bytes(lambda: rcs.append(main(argv))) < 1_000_000
+    assert rcs == [1]
+    captured = capsys.readouterr()
+    assert captured.err == "infeasible: 0 arcs cannot cover 200000 vertices\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.dhcp"]

@@ -7,23 +7,35 @@ from sudoku2hcp import (
     DirectedGraph,
     SolveBudget,
     SolveState,
+    SudokuInstance,
     UndirectedGraph,
     blank_instance,
     build_hcp,
+    parse_sudoku,
     propagate,
+    prune_fixed,
+    reduce_graph,
     solve_directed,
     solve_hcp,
     undirect,
     verify_cycle,
     witness_cycle,
 )
+from sudoku2hcp.solve import _pick_branch_edge
+from sudoku2hcp.transform import Infeasible
 from _support import (
+    PUZZLE_35,
+    ScanSolveState,
+    _pick_branch_edge_by_scan,
     all_order4_solutions,
     all_undirected_hamiltonian_cycles,
     brute_undirected_hamiltonian,
     dodecahedron,
     petersen,
+    propagate_by_scan,
     random_undirected,
+    solve_hcp_by_scan,
+    well_formed_order4,
 )
 
 
@@ -211,3 +223,154 @@ class TestSolveDirected:
         assert out.status == "cycle"
         grid = recover_solution(out.cycle, 9)
         assert validate_grid(inst, grid) == []
+
+
+def _pipeline_graph(instance) -> UndirectedGraph | None:
+    """The graph solve_instance hands to the solver, or None when reduce
+    refutes the instance."""
+    g, _ = prune_fixed(build_hcp(instance.order), instance)
+    ug, _ = undirect(g)
+    reduced = reduce_graph(ug)
+    return None if isinstance(reduced, Infeasible) else reduced[0]
+
+
+def _same_search(g: UndirectedGraph, budget: SolveBudget) -> str:
+    out = solve_hcp(g, budget)
+    ref = solve_hcp_by_scan(g, budget)
+    assert out.status == ref.status
+    assert out.cycle == ref.cycle
+    assert out.stats.nodes == ref.stats.nodes
+    assert out.stats.depth == ref.stats.depth
+    return out.status
+
+
+class TestMatchesScanSolver:
+    """The bucketed solver takes the branches of the full-scan solver it
+    replaced, so status, cycle, nodes and depth agree exactly."""
+
+    def test_random_graphs(self):
+        rng = random.Random(2718)
+        statuses = {"cycle": 0, "no_cycle": 0, "budget": 0}
+        while sum(statuses.values()) < 2000:
+            n = rng.randint(4, 16)
+            g = random_undirected(rng, n, rng.uniform(0.2, 0.7))
+            if g.m < n:
+                continue  # answered before any search
+            max_nodes = rng.choice([3, 50, 10**6])
+            statuses[_same_search(g, SolveBudget(max_nodes, 10**9))] += 1
+        assert min(statuses.values()) >= 200, statuses
+
+    def test_order4_thinnings(self):
+        # uniquely solvable thinnings, and thinnings to 1-3 clues
+        rng = random.Random(44)
+        instances = []
+        for _ in range(20):
+            inst, solution = well_formed_order4(rng)
+            cells = rng.sample(sorted(inst.clues), min(len(inst.clues), rng.randint(1, 3)))
+            sparse = SudokuInstance(4, {c: solution.value(*c) for c in cells})
+            instances += [inst, sparse]
+        for instance in instances:
+            g = _pipeline_graph(instance)
+            assert g is not None
+            assert _same_search(g, SolveBudget(10**6, 10**9)) == "cycle"
+
+    def test_puzzle_35(self):
+        g = _pipeline_graph(parse_sudoku(PUZZLE_35, "line"))
+        assert _same_search(g, SolveBudget(10**6, 10**9)) == "cycle"
+
+    def test_blank_order9_under_budget(self):
+        g = _pipeline_graph(blank_instance(9))
+        assert _same_search(g, SolveBudget(400, 10**9)) == "budget"
+
+
+def _snapshot(state) -> tuple:
+    return (
+        list(state.state),
+        list(state.forced_deg),
+        list(state.avail_deg),
+        list(state.path_other),
+        list(state.path_len),
+        state.forced_total,
+    )
+
+
+def _assert_buckets_rebuilt(state: SolveState) -> None:
+    """The buckets hold exactly the open vertices by usable degree, and no
+    id lies below its bucket's floor."""
+    buckets: list[set[int]] = [set() for _ in state.buckets]
+    for v in range(1, state.n + 1):
+        if state.avail_deg[v] > state.forced_deg[v]:
+            buckets[state.avail_deg[v]].add(v)
+    assert state.buckets == buckets
+    for bucket, floor in zip(state.buckets, state.floor):
+        assert all(v >= floor for v in bucket)
+
+
+class TestRollback:
+    @staticmethod
+    def _random_steps(rng, g, state, ref, steps) -> bool:
+        """Random forces, exclusions and propagations on both solver states,
+        stopping at the first contradiction.  Both must agree on every
+        contradiction, on every array up to it and on the branch edge they
+        would pick; a contradicted state is only ever rolled back, so its
+        arrays may differ.  True when the steps ended in a contradiction."""
+        edges = list(g.edges())
+        for _ in range(steps):
+            u, v = rng.choice(edges)
+            include = rng.random() < 0.5
+            run_propagate = rng.random() < 0.5
+            outcomes = []
+            for st, prop in ((state, propagate), (ref, propagate_by_scan)):
+                try:
+                    if include:
+                        st.force(u, v)
+                    else:
+                        st.exclude(u, v)
+                    if run_propagate:
+                        prop(st)
+                    outcomes.append(None)
+                except Contradiction as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0] is not None:
+                return True
+            assert _snapshot(state) == _snapshot(ref)
+            if rng.random() < 0.5:
+                # the pick raises a bucket's floor, which later undos lower
+                assert _pick_branch_edge(state) == _pick_branch_edge_by_scan(ref)
+        return False
+
+    def test_rollback_restores_every_array_and_bucket(self):
+        rng = random.Random(5150)
+        graphs = [random_undirected(rng, rng.randint(5, 14), 0.5) for _ in range(150)]
+        graphs.append(_pipeline_graph(parse_sudoku("1...2..3......2.")))
+        for g in graphs:
+            state, ref = SolveState(g), ScanSolveState(g)
+            fresh = _snapshot(state)
+            for _ in range(6):
+                mark, ref_mark = state.mark(), ref.mark()
+                at_mark = _snapshot(state)
+                if self._random_steps(rng, g, state, ref, rng.randint(0, 6)):
+                    state.rollback(mark)
+                    ref.rollback(ref_mark)
+                    assert _snapshot(state) == at_mark == _snapshot(ref)
+                mark, ref_mark = state.mark(), ref.mark()
+                at_mark = _snapshot(state)
+                _assert_buckets_rebuilt(state)
+                self._random_steps(rng, g, state, ref, rng.randint(1, 12))
+                state.rollback(mark)
+                ref.rollback(ref_mark)
+                assert _snapshot(state) == at_mark == _snapshot(ref)
+                _assert_buckets_rebuilt(state)
+                if rng.random() < 0.3:
+                    state.rollback(0)
+                    ref.rollback(0)
+                    assert _snapshot(state) == fresh == _snapshot(SolveState(g))
+                    _assert_buckets_rebuilt(state)
+
+    def test_non_edges_rejected(self):
+        state = SolveState(UndirectedGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
+        for u, v in ((1, 3), (0, 1), (5, 1), (1, 5), (2, 2)):
+            for call in (state.force, state.exclude, state.edge_state):
+                with pytest.raises(ValueError):
+                    call(u, v)
