@@ -63,7 +63,6 @@ from .sudoku import (
 from .transform import (
     Contraction,
     CycleLifter,
-    EdgeDeletion,
     GadgetRemoval,
     Infeasible,
     Triplication,
@@ -81,7 +80,6 @@ __all__ = [
     "Contraction",
     "CycleLifter",
     "DirectedGraph",
-    "EdgeDeletion",
     "GadgetRemoval",
     "GraphStats",
     "Grid",

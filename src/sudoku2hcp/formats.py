@@ -10,7 +10,6 @@ from .graphs import DirectedGraph, UndirectedGraph
 from .transform import (
     Contraction,
     CycleLifter,
-    EdgeDeletion,
     GadgetRemoval,
     Triplication,
     from_renumbered,
@@ -114,28 +113,30 @@ def read_cycle(text: str) -> list[int]:
 
 def save_journal(lifter: CycleLifter) -> str:
     """Line format, in the journal's base ids: 'T n',
-    'g removed left right',
-    'c survivor absorbed attach_survivor attach_absorbed', 'd u v'."""
+    'g removed left right' and 'p survivor end0 end1 v1 ... vk', a
+    contracted path v1..vk (survivor included, k >= 2) that runs from the
+    vertex next to end0 to the vertex next to end1."""
     lines = []
     for rec in lifter.records:
         if isinstance(rec, Triplication):
             lines.append(f"T {rec.n}")
         elif isinstance(rec, GadgetRemoval):
             lines.append(f"g {rec.removed} {rec.left} {rec.right}")
-        elif isinstance(rec, Contraction):
-            lines.append(
-                f"c {rec.survivor} {rec.absorbed} "
-                f"{rec.attach_survivor} {rec.attach_absorbed}"
-            )
         else:
-            lines.extend(f"d {u} {v}" for u, v in rec.edges)
+            lines.append(
+                f"p {rec.survivor} {rec.ends[0]} {rec.ends[1]} "
+                + " ".join(map(str, rec.path))
+            )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_journal(text: str) -> CycleLifter:
-    """Inverse of save_journal.  Also reads the older format, whose 'G',
-    'C' and 'D' lines name the ids of the graph each record was applied
-    to, and converts it to base ids.  One journal uses one of the two."""
+    """Inverse of save_journal.  Also reads two older formats, whose
+    'c survivor absorbed attach_survivor attach_absorbed' lines become
+    2-vertex paths and whose 'd u v' edge deletions are dropped.  In the
+    oldest, 'G', 'C' and 'D' lines name the ids of the graph each record
+    was applied to and are converted to base ids.  One journal uses one
+    of the two numberings."""
     records = []
     kinds = set()
     for ln in text.splitlines():
@@ -144,22 +145,23 @@ def load_journal(text: str) -> CycleLifter:
         toks = ln.split()
         kind = toks[0]
         try:
-            args = [int(t) for t in toks[1:]]
+            args = list(map(int, toks[1:]))
         except ValueError:
             raise ValueError(f"bad journal line {ln!r}") from None
         if kind == "T" and len(args) == 1:
             records.append(Triplication(args[0]))
         elif kind in ("g", "G") and len(args) == 3:
             records.append(GadgetRemoval(*args))
+        elif kind == "p" and len(args) >= 5:
+            records.append(Contraction(args[0], tuple(args[3:]), (args[1], args[2])))
         elif kind in ("c", "C") and len(args) == 4:
-            records.append(Contraction(*args))
-        elif kind in ("d", "D") and len(args) == 2:
-            records.append(EdgeDeletion(((args[0], args[1]),)))
-        else:
+            s, t, p, q = args
+            records.append(Contraction(s, (s, t), (p, q)))
+        elif kind not in ("d", "D") or len(args) != 2:
             raise ValueError(f"bad journal line {ln!r}")
         kinds.add(kind)
     if kinds & set("GCD"):
-        if kinds & set("gcd"):
+        if kinds & set("gcdp"):
             raise ValueError("journal mixes base-id and renumbered records")
         return CycleLifter(from_renumbered(records))
     return CycleLifter(tuple(records))

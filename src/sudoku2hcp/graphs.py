@@ -124,6 +124,17 @@ class UndirectedGraph:
     def degree(self, v: int) -> int:
         return len(self._adj.get(v, ()))
 
+    def low_degree_vertex(self) -> int | None:
+        """The smallest vertex with fewer than two neighbours, or None.
+        Walks the adjacency kept, so it allocates nothing per vertex."""
+        k = 0
+        for k, (v, nbrs) in enumerate(self._adj.items(), 1):
+            if v != k:
+                return k  # keys ascend, so k has no neighbours
+            if len(nbrs) < 2:
+                return v
+        return k + 1 if k < self.n else None
+
     def edges(self) -> Iterator[tuple[int, int]]:
         for a, nbrs in self._adj.items():
             for b in nbrs:

@@ -73,21 +73,22 @@ class SolveState:
     """Edge states plus the forced-path bookkeeping for one undirected graph.
 
     Edges are numbered in ascending (u, v) order, u < v.  inc[v] lists the
-    ids of v's edges in the order of nbrs[v], v's ascending neighbours, so
-    an edge is found by scanning its endpoint's neighbours.  An open vertex
-    (more usable edges than forced ones, so it has an undecided edge) sits
-    in buckets[d] for its usable degree d, and no id in buckets[d] is below
-    floor[d]: an add lowers the floor, the branch choice raises it to the
-    bucket's smallest id.  The trail records decisions:
-    ~e for an exclusion, and eu, ev, len eu, len ev, e for a force, with
-    the path ends and lengths as they were before it.
+    ids of v's edges in the order of nbrs[v], the graph's own tuple of v's
+    ascending neighbours, so an edge is found by scanning its endpoint's
+    neighbours.  An open vertex (more usable edges than forced ones, so it
+    has an undecided edge) sits in buckets[d] for its usable degree d, and
+    no id in buckets[d] is below floor[d]: an add lowers the floor, the
+    branch choice raises it to the bucket's smallest id.  The trail
+    records decisions: ~e for an exclusion, and eu, ev, len eu, len ev, e
+    for a force, with the path ends and lengths as they were before it.
     """
 
     def __init__(self, g: UndirectedGraph):
         self.g = g
         n = g.n
         self.n = n
-        nbrs = [g.neighbors(v) for v in range(n + 1)]
+        adj = g._adj
+        nbrs = [adj.get(v, ()) for v in range(n + 1)]
         self.nbrs = nbrs
         edges: list[tuple[int, int]] = []
         inc: list[list[int]] = [[] for _ in range(n + 1)]
@@ -332,8 +333,8 @@ def solve_hcp(
     """Complete backtracking search for a Hamiltonian cycle.
 
     Deterministic for fixed inputs; seed is ignored.  A graph with fewer
-    edges than vertices is answered 'no_cycle' before anything is allocated
-    per vertex.
+    edges than vertices or with a vertex of degree below 2 is answered
+    'no_cycle' before anything is allocated per vertex.
     """
     del seed
     if g.n < 3:
@@ -350,7 +351,7 @@ def solve_hcp(
         stats.time_ms = elapsed_ms()
         return SolveOutcome(status, cycle, stats)
 
-    if g.m < g.n:
+    if g.m < g.n or g.low_degree_vertex():
         return outcome("no_cycle")
 
     state = SolveState(g)

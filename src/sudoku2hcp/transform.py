@@ -4,7 +4,8 @@ Three transforms are provided: the directed-to-undirected triplication,
 removal of the redundant middle vertex inside every candidate triple, and
 a degree-2 reduction heuristic.  Each returns a new graph together with a
 CycleLifter journal; replaying the journal backwards maps a Hamiltonian
-cycle of the transformed graph to one of the original graph.
+cycle of the transformed graph to one of the original graph.  Deleted
+edges leave no record: a cycle of a subgraph is a cycle of the graph.
 
 Record id semantics: every record names vertices by their id in the
 journal's base graph, the graph its first transform was applied to (after
@@ -21,6 +22,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, pairwise
 from typing import Callable
 
 from .graphs import DirectedGraph, UndirectedGraph
@@ -46,26 +48,20 @@ class GadgetRemoval:
 
 @dataclass(frozen=True)
 class Contraction:
-    """Adjacent degree-2 vertices merged: `absorbed` folded into `survivor`.
+    """A path of degree-2 vertices collapsed into one of them, `survivor`.
 
-    attach_survivor / attach_absorbed are the outer neighbours at each end
-    of the contracted pair, which makes re-expansion unambiguous.
+    `path` lists the path's vertices in order, survivor included, from the
+    vertex next to ends[0] to the vertex next to ends[1]; `ends` are the
+    outer neighbours the path attaches to.  Every vertex of `path` but the
+    survivor is deleted, and the survivor is left adjacent to both ends.
     """
 
     survivor: int
-    absorbed: int
-    attach_survivor: int
-    attach_absorbed: int
+    path: tuple[int, ...]
+    ends: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class EdgeDeletion:
-    """Edges removed without touching any vertex."""
-
-    edges: tuple[tuple[int, int], ...]
-
-
-Record = Triplication | GadgetRemoval | Contraction | EdgeDeletion
+Record = Triplication | GadgetRemoval | Contraction
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class CycleLifter:
     def __add__(self, other: "CycleLifter") -> "CycleLifter":
         """This journal followed by `other`, whose records name vertices of
         this journal's final graph; they are rewritten into base ids."""
-        gone = sorted({_deleted_id(r) for r in self.records} - {None})
+        gone = sorted({d for r in self.records for d in _deleted_ids(r)})
         if not gone:
             return CycleLifter(self.records + other.records)
         base_id = partial(_survivor, gone)
@@ -96,13 +92,21 @@ class CycleLifter:
         return lift_cycle(self, cycle)
 
 
-def _deleted_id(rec: Record) -> int | None:
-    """The vertex a record deletes, or None."""
+def _deleted_ids(rec: Record) -> tuple[int, ...]:
+    """The vertices a record deletes.  Raises ValueError for a path that
+    does not hold its survivor once, among at least 2 vertices."""
     if isinstance(rec, GadgetRemoval):
-        return rec.removed
+        return (rec.removed,)
     if isinstance(rec, Contraction):
-        return rec.absorbed
-    return None
+        path, s = rec.path, rec.survivor
+        if len(path) < 2 or path.count(s) != 1:
+            raise ValueError(
+                f"contraction path {path} must hold survivor {s} once, "
+                "among at least 2 vertices"
+            )
+        k = path.index(s)
+        return path[:k] + path[k + 1 :]
+    return ()
 
 
 def _map_ids(rec: Record, f: Callable[[int], int]) -> Record:
@@ -111,13 +115,8 @@ def _map_ids(rec: Record, f: Callable[[int], int]) -> Record:
         return GadgetRemoval(f(rec.removed), f(rec.left), f(rec.right))
     if isinstance(rec, Contraction):
         return Contraction(
-            f(rec.survivor),
-            f(rec.absorbed),
-            f(rec.attach_survivor),
-            f(rec.attach_absorbed),
+            f(rec.survivor), tuple(map(f, rec.path)), (f(rec.ends[0]), f(rec.ends[1]))
         )
-    if isinstance(rec, EdgeDeletion):
-        return EdgeDeletion(tuple((f(u), f(v)) for u, v in rec.edges))
     return rec
 
 
@@ -148,8 +147,7 @@ def from_renumbered(records: list[Record]) -> tuple[Record, ...]:
     for rec in records:
         rec = _map_ids(rec, base_id)
         out.append(rec)
-        removed = _deleted_id(rec)
-        if removed is not None:
+        for removed in _deleted_ids(rec):
             insort(gone, removed)
     return tuple(out)
 
@@ -296,28 +294,29 @@ def reduce_graph(
     degree-2 neighbour for another, so it makes nothing pending.  Every
     vertex of a degree-2 path is then pending, so the rule-1 scan meets
     each path at its smallest id and collapses the whole path there.  The
-    passes end when nothing is pending for rule 2.  The records, the
-    reduced graph and the reasons are exactly those of the pass-by-pass
-    scan that visits every vertex on every pass (ascending ids, rule 2
-    before rule 1) until a pass changes nothing.
+    passes end when nothing is pending for rule 2.  The reduced graph and
+    the reasons are exactly those of the pass-by-pass scan that visits
+    every vertex on every pass (ascending ids, rule 2 before rule 1) until
+    a pass changes nothing, which records each contracted pair and deleted
+    edge; the journal holds one Contraction per collapsed path instead.
 
     Returns Infeasible when the rules certify that no Hamiltonian cycle
-    exists: fewer edges than vertices (checked before anything is
-    allocated per vertex), a vertex with three or more degree-2
-    neighbours, a vertex left with fewer than two edges, or a contraction
-    that would double an edge in a graph larger than a triangle (a forced
-    short cycle).  Records name vertices by their ids in g.
+    exists: fewer edges than vertices or a vertex of degree below 2 (both
+    checked before anything is allocated per vertex), a vertex with three
+    or more degree-2 neighbours, or a contraction that would double an
+    edge in a graph larger than a triangle (a forced short cycle).
+    Records name vertices by their ids in g.
     """
     if g.n < 4:
         raise ValueError("reduction expects at least 4 vertices")
     if g.m < g.n:
         return Infeasible(f"{g.m} edges cannot cover {g.n} vertices")
+    low = g.low_degree_vertex()
+    if low:
+        return Infeasible(f"vertex {low} has degree {g.degree(low)}")
     n = g.n
     adj: list[set[int] | frozenset[int]] = [_GONE]
     adj.extend(set(g.neighbors(v)) for v in range(1, n + 1))
-    for v in range(1, n + 1):
-        if len(adj[v]) < 2:
-            return Infeasible(f"vertex {v} has degree {len(adj[v])}")
     records: list[Record] = []
     alive = n
     rule2 = bytearray(b"\x01") * (n + 1)
@@ -334,12 +333,10 @@ def reduce_graph(
                         f"vertex {v} has {len(deg2)} degree-2 neighbours"
                     )
                 if len(deg2) == 2:
-                    dropped = []
                     for w in sorted(nbrs.difference(deg2)):
                         nbrs.discard(w)
                         around = adj[w]
                         around.discard(v)
-                        dropped.append((v, w) if v < w else (w, v))
                         if len(around) == 2:
                             rule1[w] = 1
                             for x in around:
@@ -348,7 +345,6 @@ def reduce_graph(
                                     rule2[x] = 1
                                 else:
                                     next_rule2[x] = 1
-                    records.append(EdgeDeletion(tuple(dropped)))
                     rule1[v] = rule1[deg2[0]] = rule1[deg2[1]] = 1
             v = rule2.find(1, v + 1)
 
@@ -391,12 +387,11 @@ def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:
 def _contract_path(
     adj: list, m: int, records: list[Record], alive: int
 ) -> int | Infeasible:
-    """Collapse the degree-2 path through m, its smallest id, into m and
-    return how many vertices are left alive.
+    """Collapse the degree-2 path through m, its smallest id, into m with
+    one record, and return how many vertices are left alive.
 
-    Contracting step by step always keeps m and absorbs the smaller of its
-    two degree-2 neighbours, so the records merge the path's two sides
-    head by head.  A cycle of degree-2 vertices and a path whose ends
+    Contracting step by step would keep m and absorb every other vertex
+    of the path.  A cycle of degree-2 vertices and a path whose ends
     attach to one vertex end in Infeasible or the terminal triangle, and
     take the step-by-step walk.
     """
@@ -407,20 +402,9 @@ def _contract_path(
     right, end_r = _path_side(adj, m, b)
     if end_l == end_r:
         return _contract_stepwise(adj, m, records, alive)
-    i = j = 0
-    nl, nr = len(left), len(right)
-    while i < nl or j < nr:
-        if j == nr or (i < nl and left[i] < right[j]):
-            t = left[i]
-            i += 1
-            p = right[j] if j < nr else end_r
-            q = left[i] if i < nl else end_l
-        else:
-            t = right[j]
-            j += 1
-            p = left[i] if i < nl else end_l
-            q = right[j] if j < nr else end_r
-        records.append(Contraction(m, t, p, q))
+    path = (*reversed(left), m, *right)
+    records.append(Contraction(m, path, (end_l, end_r)))
+    for t in path:
         adj[t] = _GONE
     adj[m] = {end_l, end_r}
     if left:
@@ -429,7 +413,7 @@ def _contract_path(
     if right:
         adj[end_r].discard(right[-1])
         adj[end_r].add(m)
-    return alive - nl - nr
+    return alive - len(path) + 1
 
 
 def _contract_stepwise(
@@ -447,7 +431,7 @@ def _contract_stepwise(
             if alive > 3:
                 return Infeasible(f"contracting ({s}, {t}) would double edge to {p}")
             break  # a bare triangle is terminal and Hamiltonian
-        records.append(Contraction(s, t, p, q))
+        records.append(Contraction(s, (s, t), (p, q)))
         adj[s].discard(t)
         adj[s].add(q)
         adj[q].discard(t)
@@ -462,7 +446,7 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
     """Replay a journal backwards over a cycle of the final graph.
 
     Re-inserts gadget middles between their bridged neighbours, re-expands
-    contractions using the recorded end attachments, and finally projects
+    each contracted path between its recorded ends, and finally projects
     a leading triplication back to the directed graph.  Raises ValueError
     when the cycle cannot have come from the journal's final graph.
     """
@@ -475,7 +459,7 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
         records = records[1:]
     if any(isinstance(r, Triplication) for r in records):
         raise ValueError("triplication record allowed only at the start of a journal")
-    deleted = [d for d in map(_deleted_id, records) if d is not None]
+    deleted = list(chain.from_iterable(map(_deleted_ids, records)))
     base = len(cycle) + len(deleted)
     if directed_n is not None and base != 3 * directed_n:
         raise ValueError(
@@ -494,42 +478,39 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
     alive = [v for v in range(1, base + 1) if not gone[v]]
     base_cycle = [alive[c - 1] for c in cycle]
 
-    nxt: dict[int, int] = {}
-    prv: dict[int, int] = {}
-    for idx, v in enumerate(base_cycle):
-        w = base_cycle[(idx + 1) % len(base_cycle)]
+    # nxt[v] and prv[v] are v's cycle neighbours, 0 while v is off the cycle
+    nxt = [0] * (base + 1)
+    prv = [0] * (base + 1)
+    for v, w in zip(base_cycle, base_cycle[1:] + base_cycle[:1]):
         nxt[v] = w
         prv[w] = v
 
-    def splice(new: int, a: int, b: int) -> None:
-        # new is off the cycle: it is deleted, and by no other record
-        if nxt.get(a) == b:
-            nxt[a] = new
-            nxt[new] = b
-            prv[b] = new
-            prv[new] = a
-        elif nxt.get(b) == a:
-            nxt[b] = new
-            nxt[new] = a
-            prv[a] = new
-            prv[new] = b
-        else:
-            raise ValueError(
-                f"cycle not consistent with journal: {a} and {b} not adjacent"
-            )
-
     for rec in reversed(records):
         if isinstance(rec, GadgetRemoval):
-            splice(rec.removed, rec.left, rec.right)
-        elif isinstance(rec, Contraction):
-            # both None when the survivor is not on the cycle yet
-            around = {nxt.get(rec.survivor), prv.get(rec.survivor)}
-            if around != {rec.attach_survivor, rec.attach_absorbed}:
+            a, b = rec.left, rec.right
+            if not (0 < a <= base and 0 < b <= base and b in (nxt[a], prv[a])):
+                raise ValueError(
+                    f"cycle not consistent with journal: {a} and {b} not adjacent"
+                )
+            if nxt[a] != b:
+                a, b = b, a
+            seq = (a, rec.removed, b)
+        else:
+            s, (a, b), path = rec.survivor, rec.ends, rec.path
+            around = (prv[s], nxt[s]) if 0 < s <= base else (0, 0)
+            if 0 in around or set(around) != {a, b}:
                 raise ValueError(
                     "cycle not consistent with journal: contraction "
-                    f"survivor {rec.survivor} has neighbours {sorted(around)}"
+                    f"survivor {s} has neighbours {sorted(set(around))}"
                 )
-            splice(rec.absorbed, rec.survivor, rec.attach_absorbed)
+            if around != (a, b):
+                a, b, path = b, a, path[::-1]
+            seq = (a, *path, b)
+        # the cycle runs along seq now; the vertices inside it other than a
+        # survivor were off the cycle, as they are deleted by no other record
+        for x, y in pairwise(seq):
+            nxt[x] = y
+            prv[y] = x
 
     out = [base_cycle[0]]
     while True:

@@ -3,13 +3,16 @@ puzzle generators.  Everything here is deliberately written as plain,
 propagation-free enumeration so it stays independent of the library code
 it checks, except the three references at the end: the library's earlier,
 simpler reduce_graph, enumerate_solutions and solve_hcp, which its faster
-versions must match exactly."""
+versions must match exactly.  The earlier reduce_graph wrote one record per
+contracted pair and one per rule-2 edge deletion; those record types live
+here, with pair_records to expand the library's path records into them."""
 
 from __future__ import annotations
 
 import random
 import time
 import tracemalloc
+from dataclasses import dataclass
 from functools import lru_cache
 
 from sudoku2hcp import (
@@ -25,13 +28,7 @@ from sudoku2hcp import (
     enumerate_solutions,
     verify_cycle,
 )
-from sudoku2hcp.transform import (
-    Contraction,
-    CycleLifter,
-    EdgeDeletion,
-    Infeasible,
-    Record,
-)
+from sudoku2hcp.transform import Contraction, Infeasible
 
 # a well-formed 9x9 puzzle with exactly 35 clues and its unique solution,
 # frozen from a seeded uniqueness-preserving thinning run
@@ -219,14 +216,70 @@ def random_consistent_instance(
             continue
 
 
+@dataclass(frozen=True)
+class PairContraction:
+    """Adjacent degree-2 vertices merged: `absorbed` folded into `survivor`.
+
+    attach_survivor / attach_absorbed are the outer neighbours at each end
+    of the contracted pair.
+    """
+
+    survivor: int
+    absorbed: int
+    attach_survivor: int
+    attach_absorbed: int
+
+
+@dataclass(frozen=True)
+class EdgeDeletion:
+    """Edges removed without touching any vertex."""
+
+    edges: tuple[tuple[int, int], ...]
+
+
+def pair_records(records) -> list:
+    """The records with each path Contraction expanded into the pair
+    contractions that reduce_graph_by_passes writes for the same path.
+
+    Contracting step by step keeps the survivor and absorbs the smaller of
+    its two degree-2 neighbours each time, so the pairs merge the path's
+    two sides, read outwards from the survivor, head by head."""
+    out = []
+    for rec in records:
+        if not isinstance(rec, Contraction):
+            out.append(rec)
+            continue
+        m = rec.survivor
+        k = rec.path.index(m)
+        left, right = rec.path[:k][::-1], rec.path[k + 1 :]
+        end_l, end_r = rec.ends
+        i = j = 0
+        nl, nr = len(left), len(right)
+        while i < nl or j < nr:
+            if j == nr or (i < nl and left[i] < right[j]):
+                t = left[i]
+                i += 1
+                p = right[j] if j < nr else end_r
+                q = left[i] if i < nl else end_l
+            else:
+                t = right[j]
+                j += 1
+                p = left[i] if i < nl else end_l
+                q = right[j] if j < nr else end_r
+            out.append(PairContraction(m, t, p, q))
+    return out
+
+
 def reduce_graph_by_passes(
     g: UndirectedGraph,
-) -> tuple[UndirectedGraph, CycleLifter] | Infeasible:
+) -> tuple[UndirectedGraph, tuple] | Infeasible:
     """Shrink a graph with two cycle-preserving rules, run to a fixpoint.
 
     The pass-by-pass reduce_graph that rescans every vertex on every pass,
-    kept as the oracle the library's reduce_graph must match record for
-    record.
+    kept as the oracle the library's reduce_graph must match: the same
+    reduced graph and reasons, and its records, less the edge deletions,
+    equal to pair_records of the library's.  Returns the reduced graph and
+    its PairContraction and EdgeDeletion records.
 
     Rule 1: two adjacent degree-2 vertices contract to a single vertex.
     Rule 2: a vertex with two degree-2 neighbours keeps only the edges to
@@ -250,7 +303,7 @@ def reduce_graph_by_passes(
         if len(nbrs) < 2:
             return Infeasible(f"vertex {v} has degree {len(nbrs)}")
     alive = set(adj)
-    records: list[Record] = []
+    records: list[PairContraction | EdgeDeletion] = []
     changed = True
     while changed:
         changed = False
@@ -289,7 +342,7 @@ def reduce_graph_by_passes(
                             f"contracting ({s}, {t}) would double edge to {p}"
                         )
                     break  # a bare triangle is terminal and Hamiltonian
-                records.append(Contraction(s, t, p, q))
+                records.append(PairContraction(s, t, p, q))
                 adj[s].discard(t)
                 adj[s].add(q)
                 adj[q].discard(t)
@@ -304,7 +357,7 @@ def reduce_graph_by_passes(
     edges = [
         (new_id[a], new_id[b]) for a in alive_sorted for b in adj[a] if a < b
     ]
-    return UndirectedGraph(len(alive_sorted), edges), CycleLifter(tuple(records))
+    return UndirectedGraph(len(alive_sorted), edges), tuple(records)
 
 
 def enumerate_solutions_recursive(instance: SudokuInstance, limit: int) -> list[Grid]:

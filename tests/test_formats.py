@@ -134,7 +134,7 @@ class TestJournalFormat:
         again = load_journal(text)
         assert save_journal(again) == text
         assert text.startswith("T 474\n")
-        assert {ln[0] for ln in text.splitlines()[1:]} <= set("gcd")
+        assert {ln[0] for ln in text.splitlines()[1:]} == {"p"}
 
     def test_older_format_lifts_to_the_same_cycle(self):
         # a triplication, compress and reduce journal written with the
@@ -152,9 +152,51 @@ class TestJournalFormat:
         assert verify_cycle(pruned, lifted)
         assert [recover_solution(lifted, 4)] == enumerate_solutions(inst, 2)
 
+    def test_pair_record_format_lifts_to_the_same_cycle(self):
+        # a triplication and reduce journal written with one 'c' line per
+        # contracted pair and one 'd' line per deleted edge, the cycle the
+        # solver found on the reduced graph, and the directed cycle that
+        # journal lifted it to
+        data = Path(__file__).parent / "data"
+        text = (data / "pair_records_reduce.journal").read_text()
+        cycle = read_cycle((data / "pair_records_reduce.cycle").read_text())
+        lifted = read_cycle((data / "pair_records_reduce.lifted").read_text())
+        lines = text.splitlines()
+        lifter = load_journal(text)
+        # the 'd' lines are dropped, each 'c' line is a 2-vertex path
+        assert len(lifter.records) == len(lines) - sum(ln[0] == "d" for ln in lines)
+        assert {ln[0] for ln in lines} == set("Tcd")
+        assert all(len(r.path) == 2 for r in lifter.records[1:])
+        assert lifter.lift(cycle) == lifted
+        assert load_journal(save_journal(lifter)) == lifter
+        inst = parse_sudoku("1...2..3......2.")
+        pruned, _ = prune_fixed(build_hcp(4), inst)
+        assert verify_cycle(pruned, lifted)
+        assert [recover_solution(lifted, 4)] == enumerate_solutions(inst, 2)
+
     def test_mixed_formats_rejected(self):
         with pytest.raises(ValueError, match="mixes"):
             load_journal("T 2\nG 3 2 4\ng 3 2 4\n")
+
+    def test_path_and_renumbered_lines_rejected(self):
+        with pytest.raises(ValueError, match="mixes"):
+            load_journal("T 2\np 2 1 4 2 3\nC 2 3 1 4\n")
+
+    @pytest.mark.parametrize(
+        "text,cycle,match",
+        [
+            # a path line needs a survivor, two ends and two path vertices
+            ("p 2 1 4 2\n", None, "journal line"),
+            ("p 2\n", None, "journal line"),
+            ("p 2 1 5 3 4\n", [1, 2, 3], "survivor 2 once"),
+            ("p 2 1 4 2 3 2\n", [1, 2, 3], "survivor 2 once"),
+            ("g 3 2 4\np 2 1 4 2 3\n", [1, 2, 3], "twice"),
+            ("p 2 1 5 2 3\n", [1, 2, 3, 4], "neighbours"),
+        ],
+    )
+    def test_hostile_path_lines_rejected(self, text, cycle, match):
+        with pytest.raises(ValueError, match=match):
+            load_journal(text).lift(cycle)
 
     def test_empty_journal(self):
         from sudoku2hcp import CycleLifter

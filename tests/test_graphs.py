@@ -60,6 +60,25 @@ class TestSortedStorage:
         with pytest.raises(ValueError, match="duplicate"):
             UndirectedGraph._from_adjacency(2, {1: [2, 2], 2: [1, 1]})
 
+    @pytest.mark.parametrize(
+        "n,edges,want",
+        [
+            (4, [(1, 2), (2, 3), (3, 4), (4, 1)], None),
+            (5, [(1, 2), (2, 3), (3, 4), (4, 1)], 5),  # 5 has no edge
+            (5, [(1, 2), (2, 4), (4, 5), (5, 1)], 3),  # 3 has no edge
+            (5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)], 5),  # degree 1
+            (5, [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5)], 5),
+            (5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 1)], None),
+            (3, [(1, 2)], 1),
+            (3, [], 1),
+        ],
+    )
+    def test_low_degree_vertex(self, n, edges, want):
+        g = UndirectedGraph(n, edges)
+        assert g.low_degree_vertex() == want
+        low = [v for v in range(1, n + 1) if g.degree(v) < 2]
+        assert want == (low[0] if low else None)
+
     @pytest.mark.parametrize("cls", [UndirectedGraph, DirectedGraph])
     def test_memory_follows_the_edges_not_n(self, cls):
         assert peak_bytes(lambda: cls(10**6, [(1, 2)])) < 1_000_000

@@ -24,12 +24,14 @@ from sudoku2hcp import (
     verify_cycle,
     witness_cycle,
 )
-from sudoku2hcp.transform import Contraction, EdgeDeletion, GadgetRemoval, Triplication
+from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication
 from _support import (
     PUZZLE_35,
+    EdgeDeletion,
     all_order4_solutions,
     brute_directed_hamiltonian,
     brute_undirected_hamiltonian,
+    pair_records,
     random_directed_arcs,
     reduce_graph_by_passes,
     well_formed_order4,
@@ -162,11 +164,15 @@ class TestReduce:
         out = reduce_graph(g)
         assert not isinstance(out, Infeasible)
         reduced, lifter = out
-        deleted = [r for r in lifter.records if isinstance(r, EdgeDeletion)]
+        _, passes = reduce_graph_by_passes(g)
+        deleted = [r for r in passes if isinstance(r, EdgeDeletion)]
         assert deleted and deleted[0].edges == ((1, 4), (1, 6))
+        # the journal keeps no record of the deleted edges
+        assert all(isinstance(r, Contraction) for r in lifter.records)
         assert reduced.n == 3  # the remaining ring collapses to a triangle
         lifted = lift_cycle(lifter, [1, 2, 3])
         assert verify_cycle(g, lifted)
+        assert lifted == [1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_three_degree2_neighbours_infeasible(self):
         # vertex 1 adjacent to three degree-2 vertices
@@ -195,6 +201,24 @@ class TestReduce:
             tracemalloc.stop()
         assert reduced == Infeasible("3 edges cannot cover 100000 vertices")
         assert outcome.status == "no_cycle"
+        assert peak < 1_000_000
+
+    def test_low_degree_short_circuit(self):
+        # m >= n, but the header claims 100000 vertices and the edges touch
+        # only 450 of them: vertex 451 has no edge
+        edges = [(a, b) for a in range(1, 451) for b in range(a + 1, 451)]
+        g = UndirectedGraph(100_000, edges)
+        assert g.m == 101_025
+        tracemalloc.start()
+        try:
+            reduced = reduce_graph(g)
+            outcome = solve_hcp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reduced == Infeasible("vertex 451 has degree 0")
+        assert outcome.status == "no_cycle"
+        assert outcome.stats.nodes == 0
         assert peak < 1_000_000
 
     def test_low_degree_infeasible(self):
@@ -255,11 +279,21 @@ class TestReduce:
 
 def reduce_text(out):
     """What reduce_graph's answer pins: the Infeasible reason, or the
-    reduced graph's file text and the journal records."""
+    reduced graph's file text and the journal's path records expanded
+    into the pair contractions of the pass-by-pass scan."""
     if isinstance(out, Infeasible):
         return out.reason
     reduced, lifter = out
-    return export_graph(reduced), lifter.records
+    return export_graph(reduced), pair_records(lifter.records)
+
+
+def oracle_text(out):
+    """The same for reduce_graph_by_passes, less its edge deletions."""
+    if isinstance(out, Infeasible):
+        return out.reason
+    reduced, records = out
+    kept = [r for r in records if not isinstance(r, EdgeDeletion)]
+    return export_graph(reduced), kept
 
 
 def random_reduce_input(rng: random.Random) -> UndirectedGraph:
@@ -291,14 +325,15 @@ def thinned_order4_graph(rng: random.Random) -> UndirectedGraph:
 
 class TestReduceMatchesPassByPass:
     """reduce_graph against the pass-by-pass scan it replaced: the same
-    records in the same order, the same reduced graph, the same reasons."""
+    reduced graph, the same reasons, and path records that expand into
+    the scan's pair contractions in the same order."""
 
     def test_random_graphs(self):
         rng = random.Random(2024)
         infeasible = 0
         for _ in range(2400):
             g = random_reduce_input(rng)
-            want = reduce_text(reduce_graph_by_passes(g))
+            want = oracle_text(reduce_graph_by_passes(g))
             assert reduce_text(reduce_graph(g)) == want, list(g.edges())
             infeasible += isinstance(want, str)
         # both outcomes are well represented
@@ -308,13 +343,13 @@ class TestReduceMatchesPassByPass:
         rng = random.Random(31)
         for _ in range(30):
             g = thinned_order4_graph(rng)
-            want = reduce_text(reduce_graph_by_passes(g))
+            want = oracle_text(reduce_graph_by_passes(g))
             assert reduce_text(reduce_graph(g)) == want
 
     def test_puzzle_35(self):
         pruned, _ = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))
         g = undirect(pruned)[0]
-        want = reduce_text(reduce_graph_by_passes(g))
+        want = oracle_text(reduce_graph_by_passes(g))
         assert not isinstance(want, str)
         assert reduce_text(reduce_graph(g)) == want
 
@@ -323,10 +358,11 @@ class TestReduceMatchesPassByPass:
         # contraction, then the terminal triangle
         g = cycle_graph(4)
         out = reduce_graph(g)
-        assert reduce_text(out) == reduce_text(reduce_graph_by_passes(g))
+        assert reduce_text(out) == oracle_text(reduce_graph_by_passes(g))
         reduced, lifter = out
-        assert lifter.records == (Contraction(1, 2, 4, 3),)
+        assert lifter.records == (Contraction(1, (1, 2), (4, 3)),)
         assert reduced.edge_set() == {(1, 2), (1, 3), (2, 3)}
+        assert lift_cycle(lifter, [1, 2, 3]) == [1, 2, 3, 4]
 
     def test_path_ends_at_one_vertex(self):
         # rule 2 at 4 leaves the path 6-4-1-7 of degree-2 vertices, and
@@ -346,16 +382,16 @@ class TestReduceMatchesPassByPass:
         edges = [(1, 2), (1, 3), (1, 5), (2, 5), (2, 6), (3, 4), (4, 5), (4, 6)]
         g = UndirectedGraph(6, edges)
         out = reduce_graph(g)
-        assert reduce_text(out) == reduce_text(reduce_graph_by_passes(g))
+        assert reduce_text(out) == oracle_text(reduce_graph_by_passes(g))
         reduced, lifter = out
+        # one record for the path 3-4-6 between 1 and 2, none for the
+        # deleted edges (4, 5) and (1, 2)
         assert lifter.records == (
-            EdgeDeletion(((4, 5),)),
-            Contraction(3, 4, 1, 6),
-            Contraction(3, 6, 1, 2),
-            EdgeDeletion(((1, 2),)),
-            Contraction(1, 3, 5, 2),
+            Contraction(3, (3, 4, 6), (1, 2)),
+            Contraction(1, (1, 3), (5, 2)),
         )
         assert reduced.n == 3
+        assert lift_cycle(lifter, [1, 2, 3]) == [1, 3, 4, 6, 2, 5]
         assert verify_cycle(g, lift_cycle(lifter, [1, 2, 3]))
 
 
@@ -366,10 +402,20 @@ class TestLift:
     def test_single_contraction_replay(self):
         # square 1-2-3-4 with absorbed vertex: contract 2 into ... use a
         # pentagon so reduction stops before a triangle collapse
-        rec = Contraction(survivor=2, absorbed=3, attach_survivor=1, attach_absorbed=4)
+        rec = Contraction(survivor=2, path=(2, 3), ends=(1, 4))
         # final graph ids: 1..4 (vertex 3 was absorbed, old 4,5 -> 3,4)
         lifted = lift_cycle(CycleLifter((rec,)), [1, 2, 3, 4])
         assert lifted == [1, 2, 3, 4, 5]
+        # the cycle may run through the path either way
+        assert lift_cycle(CycleLifter((rec,)), [4, 3, 2, 1]) == [5, 4, 3, 2, 1]
+
+    def test_path_replay(self):
+        # the path 2-3-4-5 collapsed into 4, attached to 1 and 6, in a ring
+        # of 7: final ids 1, 4, 6, 7 become 1..4
+        rec = Contraction(survivor=4, path=(2, 3, 4, 5), ends=(1, 6))
+        lifter = CycleLifter((rec,))
+        assert lift_cycle(lifter, [1, 2, 3, 4]) == [1, 2, 3, 4, 5, 6, 7]
+        assert lift_cycle(lifter, [3, 2, 1, 4]) == [6, 5, 4, 3, 2, 1, 7]
 
     def test_gadget_replay(self):
         rec = GadgetRemoval(removed=3, left=2, right=4)
@@ -377,7 +423,7 @@ class TestLift:
         assert lifted == [1, 2, 3, 4, 5]
 
     def test_inconsistent_cycle_rejected(self):
-        rec = Contraction(survivor=2, absorbed=3, attach_survivor=1, attach_absorbed=4)
+        rec = Contraction(survivor=2, path=(2, 3), ends=(1, 4))
         with pytest.raises(ValueError, match="consistent|neighbours"):
             lift_cycle(CycleLifter((rec,)), [1, 3, 2, 4])
 
@@ -403,12 +449,13 @@ class TestLift:
         # vertex k is the k-th surviving base id: 1, 3, 4, 5, ...
         left = CycleLifter((GadgetRemoval(2, 1, 3),))
         right = CycleLifter(
-            (Contraction(2, 3, 1, 4), EdgeDeletion(((1, 4),)))
+            (Contraction(2, (2, 3), (1, 4)), Contraction(5, (4, 5, 6), (1, 7)))
         )
         assert (left + right).records == (
             GadgetRemoval(2, 1, 3),
-            Contraction(3, 4, 1, 5),
-            EdgeDeletion(((1, 5),)),
+            Contraction(3, (3, 4), (1, 5)),
+            # every id of a path is rewritten, the absorbed ones included
+            Contraction(6, (5, 6, 7), (1, 8)),
         )
         # a left journal that deletes nothing concatenates unchanged
         assert (CycleLifter((Triplication(2),)) + right).records == (
@@ -421,7 +468,29 @@ class TestLift:
             ((GadgetRemoval(3, 2, 4), GadgetRemoval(3, 2, 4)), [1, 2, 3], "twice"),
             ((GadgetRemoval(6, 2, 4),), [1, 2, 3, 4], "outside"),
             ((GadgetRemoval(3, 2, 7),), [1, 2, 3, 4], "adjacent"),
-            ((Contraction(7, 3, 1, 4),), [1, 2, 3, 4], "neighbours"),
+            ((Contraction(7, (7, 3), (1, 4)),), [1, 2, 3, 4], "neighbours"),
+            # path records: the survivor missing from the path or in it
+            # twice, a path of one vertex, an absorbed id that another
+            # record deletes, ends that are not the survivor's neighbours
+            ((Contraction(2, (3, 4), (1, 5)),), [1, 2, 3], "survivor 2 once"),
+            ((Contraction(2, (2, 3, 2), (1, 4)),), [1, 2, 3], "survivor 2 once"),
+            ((Contraction(2, (2,), (1, 3)),), [1, 2, 3], "at least 2"),
+            (
+                (GadgetRemoval(3, 2, 4), Contraction(2, (2, 3), (1, 4))),
+                [1, 2, 3],
+                "twice",
+            ),
+            ((Contraction(2, (2, 3), (1, 5)),), [1, 2, 3, 4], "neighbours"),
+            # ids below 1 name no vertex, also where a list index would wrap
+            ((GadgetRemoval(3, -1, 1),), [1, 2, 3, 4], "adjacent"),
+            ((Contraction(-1, (-1, 3), (4, 1)),), [1, 2, 3, 4], "neighbours"),
+            ((Contraction(2, (2, 3), (0, 0)),), [1, 2, 3], "neighbours"),
+            # a survivor that is off the cycle when its record is replayed
+            (
+                (GadgetRemoval(2, 1, 3), Contraction(2, (2, 4), (0, 0))),
+                [1, 2, 3],
+                "neighbours",
+            ),
         ],
     )
     def test_bad_base_ids_rejected(self, records, cycle, match):
