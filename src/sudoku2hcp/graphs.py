@@ -1,11 +1,15 @@
 """Simple directed and undirected graphs over vertex ids 1..n.
 
-Both containers validate simplicity on construction (no self-loops, no
-duplicate arcs or edges) and iterate their arc/edge sets in ascending
-order, so everything built on top of them is reproducible byte for byte.
-Adjacency is sorted once, at construction, into ascending tuples kept only
-for vertices with an arc or edge, so memory follows those and not n.
-Instances are treated as immutable; transforms return new graphs.
+Both containers iterate their arc/edge sets in ascending order, so
+everything built on top of them is reproducible byte for byte.  Adjacency
+is held as ascending tuples under ascending keys, kept only for vertices
+with an arc or edge, so memory follows those and not n.  The public
+constructors sort their input once and check it: ids in range, no
+self-loops, no duplicate arcs or edges.  A graph that a transform derives
+from an already checked graph, where the transform itself keeps it simple
+and sorted (pruning arcs, the triplication), is stored as given through
+the private `_derived`.  Instances are treated as immutable; transforms
+return new graphs.
 """
 
 from __future__ import annotations
@@ -49,6 +53,14 @@ class DirectedGraph:
         self.m = m
         self._succ = _sorted_adjacency(succ, n, "arc")
 
+    @classmethod
+    def _derived(cls, n: int, m: int, succ: dict[int, tuple[int, ...]]) -> "DirectedGraph":
+        """Graph stored as given, unchecked: m arcs, ascending successor
+        tuples under ascending keys, a key only for a vertex with an arc."""
+        g = cls.__new__(cls)
+        g.n, g.m, g._succ = n, m, succ
+        return g
+
     def has_arc(self, u: int, v: int) -> bool:
         return v in self._succ.get(u, ())
 
@@ -67,13 +79,26 @@ class DirectedGraph:
         return set(self.arcs())
 
     def without_arcs(self, removed: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        """New graph with the given arcs removed; all must be present."""
-        gone = set(removed)
-        for u, v in gone:
-            if not self.has_arc(u, v):
-                raise ValueError(f"arc ({u}, {v}) not in graph")
-        keep = [a for a in self.arcs() if a not in gone]
-        return DirectedGraph(self.n, keep)
+        """New graph with the given arcs removed; all must be present, and
+        a missing one raises ValueError naming the smallest.  An arc given
+        twice is removed once.  Each touched tail's tuple is filtered, so
+        it stays sorted, and dropped once it is empty; untouched tuples are
+        shared with this graph."""
+        gone: dict[int, set[int]] = defaultdict(set)
+        for u, v in removed:
+            gone[u].add(v)
+        succ = dict(self._succ)
+        for u, heads in gone.items():
+            outs = succ.get(u, ())
+            kept = tuple(v for v in outs if v not in heads)
+            if len(outs) - len(kept) != len(heads):
+                arc = min((t, v) for t, hs in gone.items() for v in hs if not self.has_arc(t, v))
+                raise ValueError(f"arc {arc} not in graph")
+            if kept:
+                succ[u] = kept
+            else:
+                del succ[u]
+        return DirectedGraph._derived(self.n, self.m - sum(map(len, gone.values())), succ)
 
     def __eq__(self, other):
         return (
@@ -103,17 +128,23 @@ class UndirectedGraph:
         self._adj = _sorted_adjacency(adj, n, "edge")
 
     @classmethod
+    def _derived(cls, n: int, m: int, adj: dict[int, tuple[int, ...]]) -> "UndirectedGraph":
+        """Graph stored as given, unchecked: m edges, ascending neighbour
+        tuples under ascending keys, a key only for a vertex with an edge,
+        and b listed under a exactly when a is listed under b."""
+        g = cls.__new__(cls)
+        g.n, g.m, g._adj = n, m, adj
+        return g
+
+    @classmethod
     def _from_adjacency(cls, n: int, adj: dict[int, list[int]]) -> "UndirectedGraph":
         """Graph from each vertex's neighbour list, keys ascending, where b
         is listed under a exactly when a is listed under b.  The lists are
         sorted in place and checked as the public constructor checks them."""
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        g = cls.__new__(cls)
-        g.n = n
-        g._adj = _sorted_adjacency(adj, n, "edge")
-        g.m = sum(map(len, g._adj.values())) // 2
-        return g
+        adj = _sorted_adjacency(adj, n, "edge")
+        return cls._derived(n, sum(map(len, adj.values())) // 2, adj)
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
@@ -126,9 +157,13 @@ class UndirectedGraph:
 
     def low_degree_vertex(self) -> int | None:
         """The smallest vertex with fewer than two neighbours, or None.
-        Walks the adjacency kept, so it allocates nothing per vertex."""
+        Reads the adjacency kept, so it allocates nothing per vertex; the
+        common answer None is found without a Python-level walk."""
+        adj = self._adj
+        if len(adj) == self.n and min(map(len, adj.values()), default=2) >= 2:
+            return None
         k = 0
-        for k, (v, nbrs) in enumerate(self._adj.items(), 1):
+        for k, (v, nbrs) in enumerate(adj.items(), 1):
             if v != k:
                 return k  # keys ascend, so k has no neighbours
             if len(nbrs) < 2:

@@ -172,17 +172,33 @@ def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     Each vertex becomes an in-copy, middle and out-copy chained together;
     each arc (u, v) becomes the edge (out-copy of u, in-copy of v).  The
     result has 3n vertices and 2n + m edges and is Hamiltonian exactly
-    when the directed graph is.
+    when the directed graph is.  It is built straight from g's sorted
+    successor tuples and not re-checked: arcs map one to one onto edges
+    between different triples, so a simple g gives a simple result.
     """
     n = g.n
-    edges: list[tuple[int, int]] = []
+    succ = g._succ
+    # in-copy lists: v's middle, then the out-copies of v's predecessors,
+    # appended in ascending tail order so that each list comes out sorted
+    ins: list[list[int] | None] = [[] for _ in range(n + 1)]
     for v in range(1, n + 1):
-        mid = mid_copy(v)
-        edges.append((mid - 1, mid))
-        edges.append((mid, mid + 1))
-    for u, v in g.arcs():
-        edges.append((out_copy(u), in_copy(v)))
-    return UndirectedGraph(3 * n, edges), CycleLifter((Triplication(n),))
+        ins[v].append(3 * v - 1)
+        o = 3 * v
+        for w in succ.get(v, ()):
+            ins[w].append(o)
+    adj: dict[int, tuple[int, ...]] = {}
+    for v in range(1, n + 1):
+        i = 3 * v - 2
+        mid, o = i + 1, i + 2
+        adj[i] = tuple(ins[v])
+        ins[v] = None  # drop each list once its tuple is made: a lower peak
+        adj[mid] = (i, o)
+        far = [3 * w - 2 for w in succ.get(v, ())]
+        far.append(mid)
+        far.sort()
+        adj[o] = tuple(far)
+    graph = UndirectedGraph._derived(3 * n, 2 * n + g.m, adj)
+    return graph, CycleLifter((Triplication(n),))
 
 
 def triplicate_cycle(cycle: list[int]) -> list[int]:
@@ -195,12 +211,12 @@ def triplicate_cycle(cycle: list[int]) -> list[int]:
 
 
 def _project_triplication(cycle: list[int], n: int) -> list[int]:
-    """Collapse a Hamiltonian cycle of the triplication to a directed cycle."""
+    """Collapse a Hamiltonian cycle of the triplication to a directed cycle.
+    The cycle must be a permutation of 1..3n, as lift_cycle's walk makes
+    it; only its length and its triples are checked here."""
     total = 3 * n
     if len(cycle) != total:
         raise ValueError(f"cycle has {len(cycle)} vertices, expected {total}")
-    if set(cycle) != set(range(1, total + 1)):
-        raise ValueError("cycle is not a permutation of the triplicated vertices")
     # orient so every triple reads in-copy, middle, out-copy
     t0 = next(idx for idx, lab in enumerate(cycle) if lab % 3 == 2)
     mid = cycle[t0]
@@ -316,7 +332,8 @@ def reduce_graph(
         return Infeasible(f"vertex {low} has degree {g.degree(low)}")
     n = g.n
     adj: list[set[int] | frozenset[int]] = [_GONE]
-    adj.extend(set(g.neighbors(v)) for v in range(1, n + 1))
+    # no vertex has degree < 2, so the keys are exactly 1..n, ascending
+    adj.extend(map(set, g._adj.values()))
     records: list[Record] = []
     alive = n
     rule2 = bytearray(b"\x01") * (n + 1)

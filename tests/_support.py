@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from sudoku2hcp import (
     Contradiction,
+    DirectedGraph,
     Grid,
     SearchStats,
     SolveBudget,
@@ -147,6 +148,13 @@ def random_undirected(rng: random.Random, n: int, p: float) -> UndirectedGraph:
         if rng.random() < p
     ]
     return UndirectedGraph(n, edges)
+
+
+def storage(g: DirectedGraph | UndirectedGraph) -> tuple:
+    """n, m, the adjacency keys in stored order and the adjacency itself:
+    equal exactly when two graphs are stored alike, tuple for tuple."""
+    adj = g._succ if isinstance(g, DirectedGraph) else g._adj
+    return g.n, g.m, list(adj), adj
 
 
 def random_directed_arcs(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from sudoku2hcp import DirectedGraph, UndirectedGraph, build_hcp
-from _support import peak_bytes
+from sudoku2hcp import (
+    DirectedGraph,
+    UndirectedGraph,
+    build_hcp,
+    clue_redundant_arcs,
+    parse_sudoku,
+    prune_fixed,
+    undirect,
+)
+from _support import PUZZLE_35, peak_bytes, random_directed_arcs, storage
 
 
 def shuffled(pairs, seed):
@@ -71,6 +79,9 @@ class TestSortedStorage:
             (5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 1)], None),
             (3, [(1, 2)], 1),
             (3, [], 1),
+            # every vertex has a key, and only the first has degree 1
+            (4, [(1, 2), (2, 3), (3, 4), (4, 2)], 1),
+            (6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4)], None),
         ],
     )
     def test_low_degree_vertex(self, n, edges, want):
@@ -78,7 +89,73 @@ class TestSortedStorage:
         assert g.low_degree_vertex() == want
         low = [v for v in range(1, n + 1) if g.degree(v) < 2]
         assert want == (low[0] if low else None)
+        derived = UndirectedGraph._derived(n, g.m, dict(g._adj))
+        assert derived.low_degree_vertex() == want
+
+    def test_low_degree_vertex_of_a_triplication(self):
+        # undirect stores its graph through _derived; every in- and
+        # out-copy of a directed cycle has degree 2
+        ug, _ = undirect(DirectedGraph(3, [(1, 2), (2, 3), (3, 1)]))
+        assert ug.low_degree_vertex() is None
+        ug, _ = undirect(DirectedGraph(3, [(1, 2), (2, 3)]))
+        assert ug.low_degree_vertex() == 1  # vertex 1 has no in-arc
 
     @pytest.mark.parametrize("cls", [UndirectedGraph, DirectedGraph])
     def test_memory_follows_the_edges_not_n(self, cls):
         assert peak_bytes(lambda: cls(10**6, [(1, 2)])) < 1_000_000
+
+
+class TestWithoutArcs:
+    # without_arcs keeps the tuples it does not touch and stores the rest
+    # unchecked, so it must come out as the checking constructor stores
+    # the arcs that are left
+
+    def test_matches_constructor_on_random_digraphs(self):
+        rng = random.Random(71)
+        emptied = 0
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            g = DirectedGraph(n, random_directed_arcs(rng, n, rng.choice((0.1, 0.3, 0.7))))
+            arcs = list(g.arcs())
+            gone = rng.sample(arcs, rng.randint(0, len(arcs)))
+            given = gone + rng.sample(gone, len(gone) // 3)  # some given twice
+            h = g.without_arcs(shuffled(given, rng.randrange(10**6)))
+            kept = set(arcs).difference(gone)
+            assert storage(h) == storage(DirectedGraph(n, kept))
+            assert list(g.arcs()) == arcs
+            tails = {u for u, _ in gone}
+            for u, outs in h._succ.items():
+                if u not in tails:
+                    assert outs is g._succ[u]
+            emptied += any(u not in h._succ for u in tails)
+        assert emptied >= 50
+
+    def test_tail_that_loses_every_arc_is_dropped(self):
+        g = DirectedGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 1)])
+        h = g.without_arcs([(1, 3), (1, 2)])
+        want = DirectedGraph(4, [(2, 3), (3, 4), (4, 1)])
+        assert storage(h) == storage(want) and h == want
+        assert list(h._succ) == [2, 3, 4]
+
+    def test_missing_arc_names_the_smallest(self):
+        g = DirectedGraph(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
+        with pytest.raises(ValueError, match=r"arc \(2, 5\) not in graph"):
+            g.without_arcs([(5, 1), (1, 2), (2, 5), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match=r"arc \(1, 4\) not in graph"):
+            g.without_arcs([(1, 4), (1, 4)])
+        assert g.m == 4 and list(g.arcs()) == [(1, 2), (2, 3), (3, 1), (4, 5)]
+
+    @pytest.mark.parametrize("text", [PUZZLE_35, "1...2..3......2."])
+    def test_prune_fixed_matches_constructor(self, text):
+        inst = parse_sudoku(text)
+        g = build_hcp(inst.order)
+        gone = set()
+        for (i, j), k in inst.clues.items():
+            gone.update(clue_redundant_arcs(inst.order, i, j, k))
+        pruned, removed = prune_fixed(g, inst)
+        want = DirectedGraph(g.n, [a for a in g.arcs() if a not in gone])
+        assert storage(pruned) == storage(want)
+        assert removed == len(gone) == g.m - pruned.m
+        # pruning twice finds every arc missing, and names the smallest
+        with pytest.raises(ValueError, match=rf"arc \({min(gone)[0]}, {min(gone)[1]}\) not"):
+            prune_fixed(pruned, inst)

@@ -34,6 +34,7 @@ from _support import (
     pair_records,
     random_directed_arcs,
     reduce_graph_by_passes,
+    storage,
     well_formed_order4,
 )
 
@@ -79,6 +80,47 @@ class TestUndirect:
             assert directed == undirected
             checked += 1
         assert checked >= 50 - 1
+
+
+def undirect_by_edge_list(g: DirectedGraph) -> UndirectedGraph:
+    """The triplication through the public constructor, which sorts and
+    checks the edge list it is given."""
+    edges = []
+    for v in range(1, g.n + 1):
+        edges += [(3 * v - 2, 3 * v - 1), (3 * v - 1, 3 * v)]
+    edges += [(3 * u, 3 * v - 2) for u, v in g.arcs()]
+    return UndirectedGraph(3 * g.n, edges)
+
+
+class TestUndirectMatchesEdgeList:
+    # undirect stores the adjacency it derives unchecked, so it must come
+    # out exactly as the checking constructor would store it
+
+    def test_random_digraphs(self):
+        rng = random.Random(70)
+        shapes = {"n=1": 0, "isolated": 0, "no in-arcs": 0, "no out-arcs": 0}
+        for _ in range(600):
+            n = rng.randint(1, 12)
+            g = DirectedGraph(n, random_directed_arcs(rng, n, rng.choice((0.05, 0.15, 0.4, 0.8))))
+            heads = {v for _, v in g.arcs()}
+            shapes["n=1"] += n == 1
+            shapes["isolated"] += any(
+                v not in heads and not g.out_degree(v) for v in range(1, n + 1)
+            )
+            shapes["no in-arcs"] += len(heads) < n
+            shapes["no out-arcs"] += any(not g.out_degree(v) for v in range(1, n + 1))
+            ug, lifter = undirect(g)
+            assert storage(ug) == storage(undirect_by_edge_list(g))
+            assert lifter == CycleLifter((Triplication(n),))
+        assert min(shapes.values()) >= 20, shapes
+
+    @pytest.mark.parametrize("order", [4, 9])
+    def test_encoding_graphs_blank_and_pruned(self, order):
+        g = build_hcp(order)
+        text = PUZZLE_35 if order == 9 else "1...2..3......2."
+        pruned, _ = prune_fixed(g, parse_sudoku(text))
+        for d in (g, pruned):
+            assert storage(undirect(d)[0]) == storage(undirect_by_edge_list(d))
 
 
 class TestProject:
