@@ -7,9 +7,9 @@ with an arc or edge, so memory follows those and not n.  The public
 constructors sort their input once and check it: ids in range, no
 self-loops, no duplicate arcs or edges.  A graph that a transform derives
 from an already checked graph, where the transform itself keeps it simple
-and sorted (pruning arcs, the triplication), is stored as given through
-the private `_derived`.  Instances are treated as immutable; transforms
-return new graphs.
+and sorted (pruning arcs, the triplication, reduction), is stored as given
+through the private `_derived`.  Instances are treated as immutable;
+transforms return new graphs.
 """
 
 from __future__ import annotations
@@ -135,16 +135,6 @@ class UndirectedGraph:
         g = cls.__new__(cls)
         g.n, g.m, g._adj = n, m, adj
         return g
-
-    @classmethod
-    def _from_adjacency(cls, n: int, adj: dict[int, list[int]]) -> "UndirectedGraph":
-        """Graph from each vertex's neighbour list, keys ascending, where b
-        is listed under a exactly when a is listed under b.  The lists are
-        sorted in place and checked as the public constructor checks them."""
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        adj = _sorted_adjacency(adj, n, "edge")
-        return cls._derived(n, sum(map(len, adj.values())) // 2, adj)
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())

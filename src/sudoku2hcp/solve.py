@@ -8,17 +8,22 @@ cycle that is shorter than the whole graph.  Search branches on an
 undecided edge at a vertex of minimum remaining degree, trying inclusion
 first, and never returns a cycle it has not verified.
 
-The branch vertex comes from buckets of open vertices keyed by usable
-degree, kept current by every decision and every undo: it is the smallest
-id in the lowest non-empty bucket, found by walking up from a lower bound
-on that bucket's ids rather than by scanning every vertex.  The trail holds one entry per decision (an exclusion, or a force
-with the path ends it joined), and rollback undoes decisions newest first.
+The rules run in one loop over local lists, which a single force or
+exclusion also goes through.  Each vertex has one byte in a key: its
+usable degree while it is open, capped at 254, and 255 once it is closed.
+The branch vertex is the first position of the lowest byte present, found
+by `bytearray.find`: the smallest id in the lowest degree, with capped
+vertices told apart by their exact degrees.  The trail holds one entry per
+decision (an exclusion, or a force with the path ends it joined), and
+rollback undoes decisions newest first.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import contains
 
 from .graphs import DirectedGraph, UndirectedGraph
 from .transform import undirect
@@ -36,9 +41,14 @@ class SolveBudget:
 
 @dataclass
 class SearchStats:
+    """nodes counts branch attempts, contradictions the failed ones, and
+    max_trail the longest decision trail the search held."""
+
     nodes: int = 0
     depth: int = 0
     time_ms: int = 0
+    contradictions: int = 0
+    max_trail: int = 0
 
 
 @dataclass
@@ -53,20 +63,18 @@ class SolveOutcome:
 def verify_cycle(g: DirectedGraph | UndirectedGraph, cycle: list[int]) -> bool:
     """True iff cycle visits every vertex once and each step is an arc/edge."""
     n = g.n
-    if len(cycle) != n or len(set(cycle)) != n:
+    directed = isinstance(g, DirectedGraph)
+    if n < (2 if directed else 3) or len(cycle) != n or len(set(cycle)) != n:
         return False
-    if any(not 1 <= v <= n for v in cycle):
-        return False
-    if isinstance(g, DirectedGraph):
-        if n < 2:
-            return False
-        return all(g.has_arc(cycle[i - 1], cycle[i]) for i in range(n))
-    if n < 3:
-        return False
-    return all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(n))
+    adj = g._succ if directed else g._adj
+    # step i runs from cycle[i] to cycle[i + 1], the last back to the first;
+    # an id outside 1..n is in no adjacency, so its steps fail
+    return all(map(contains, map(adj.get, cycle, repeat(())), cycle[1:] + cycle[:1]))
 
 
 UNDECIDED, FORCED, EXCLUDED = 0, 1, -1
+# key bytes: an open vertex's usable degree up to _CAP, a closed vertex _CLOSED
+_CAP, _CLOSED = 254, 255
 
 
 class SolveState:
@@ -75,40 +83,30 @@ class SolveState:
     Edges are numbered in ascending (u, v) order, u < v.  inc[v] lists the
     ids of v's edges in the order of nbrs[v], the graph's own tuple of v's
     ascending neighbours, so an edge is found by scanning its endpoint's
-    neighbours.  An open vertex (more usable edges than forced ones, so it
-    has an undecided edge) sits in buckets[d] for its usable degree d, and
-    no id in buckets[d] is below floor[d]: an add lowers the floor, the
-    branch choice raises it to the bucket's smallest id.  The trail
-    records decisions: ~e for an exclusion, and eu, ev, len eu, len ev, e
-    for a force, with the path ends and lengths as they were before it.
+    neighbours.  key[v] is cap[d] = min(d, 254) for v's usable degree d
+    while v is open (more usable edges than forced ones, so it has an
+    undecided edge) and 255 once it is closed.  The trail records
+    decisions: ~e for an exclusion, and eu, ev, len eu, len ev, e for a
+    force, with the path ends and lengths as they were before it.
     """
 
     def __init__(self, g: UndirectedGraph):
-        self.g = g
-        n = g.n
-        self.n = n
+        self.n = n = g.n
         adj = g._adj
-        nbrs = [adj.get(v, ()) for v in range(n + 1)]
-        self.nbrs = nbrs
-        edges: list[tuple[int, int]] = []
+        self.nbrs = nbrs = list(map(adj.get, range(n + 1), repeat(())))
+        edges = [(u, v) for u, nb in enumerate(nbrs) for v in nb if u < v]
+        # ascending ids list each vertex's lower neighbours, then its higher
         inc: list[list[int]] = [[] for _ in range(n + 1)]
-        for u in range(1, n + 1):
-            inc_u = inc[u]
-            for v in nbrs[u]:
-                if u < v:
-                    inc_u.append(len(edges))
-                    inc[v].append(len(edges))
-                    edges.append((u, v))
+        for e, (u, v) in enumerate(edges):
+            inc[u].append(e)
+            inc[v].append(e)
         self.edges = edges
         self.inc = inc
         self.state = [UNDECIDED] * len(edges)
         self.forced_deg = [0] * (n + 1)
-        self.avail_deg = [len(vs) for vs in nbrs]
-        self.buckets: list[set[int]] = [set() for _ in range(max(self.avail_deg) + 1)]
-        for v in range(1, n + 1):
-            if self.avail_deg[v]:
-                self.buckets[self.avail_deg[v]].add(v)
-        self.floor = [1] * len(self.buckets)
+        self.avail_deg = adeg = list(map(len, nbrs))
+        self.cap = cap = list(map(min, range(max(adeg) + 1), repeat(_CAP)))
+        self.key = bytearray(map(cap.__getitem__, adeg)).replace(b"\0", b"\xff")
         # forced edges form vertex-disjoint paths; endpoints map to the
         # opposite endpoint and carry the path's edge count
         self.path_other = list(range(n + 1))
@@ -123,44 +121,37 @@ class SolveState:
         return len(self.trail)
 
     def rollback(self, mark: int) -> None:
-        """Undo every decision taken since mark, newest first."""
+        """Undo every decision taken since mark, newest first; each was
+        taken on an undecided edge, so both its ends are open again."""
         trail = self.trail
-        pop = trail.pop
-        state, edges = self.state, self.edges
-        fdeg, adeg, buckets = self.forced_deg, self.avail_deg, self.buckets
-        po, pl, floor = self.path_other, self.path_len, self.floor
-        while len(trail) > mark:
-            e = pop()
+        state, edges, key, cap = self.state, self.edges, self.key, self.cap
+        fdeg, adeg = self.forced_deg, self.avail_deg
+        po, pl = self.path_other, self.path_len
+        forces = 0
+        i = len(trail)
+        while i > mark:
+            i -= 1
+            e = trail[i]
             if e < 0:
                 e = ~e
                 state[e] = UNDECIDED
                 for w in edges[e]:
-                    d = adeg[w]
-                    if d > fdeg[w]:
-                        buckets[d].discard(w)
-                    d += 1
-                    adeg[w] = d
-                    buckets[d].add(w)
-                    if w < floor[d]:
-                        floor[d] = w
+                    adeg[w] = d = adeg[w] + 1
+                    key[w] = cap[d]
             else:
-                len_ev = pop()
-                len_eu = pop()
-                ev = pop()
-                eu = pop()
+                i -= 4
+                eu, ev, len_eu, len_ev = trail[i:i + 4]
                 state[e] = UNDECIDED
                 u, v = edges[e]
-                for w in (u, v):
-                    fdeg[w] -= 1
-                    d = adeg[w]
-                    buckets[d].add(w)
-                    if w < floor[d]:
-                        floor[d] = w
-                po[eu] = u
-                po[ev] = v
-                pl[eu] = len_eu
-                pl[ev] = len_ev
-                self.forced_total -= 1
+                fdeg[u] -= 1
+                fdeg[v] -= 1
+                key[u] = cap[adeg[u]]
+                key[v] = cap[adeg[v]]
+                po[eu], po[ev] = u, v
+                pl[eu], pl[ev] = len_eu, len_ev
+                forces += 1
+        del trail[mark:]
+        self.forced_total -= forces
         self._force_queue.clear()
         self._exclude_queue.clear()
 
@@ -172,10 +163,10 @@ class SolveState:
 
     def force(self, u: int, v: int) -> None:
         """Mark edge (u, v) as part of the cycle and queue consequences."""
-        self._apply_force(self._edge(u, v))
+        self._settle(self._edge(u, v), True, False)
 
     def exclude(self, u: int, v: int) -> None:
-        self._apply_exclude(self._edge(u, v))
+        self._settle(self._edge(u, v), False, False)
 
     def edge_state(self, u: int, v: int) -> int:
         return self.state[self._edge(u, v)]
@@ -183,140 +174,139 @@ class SolveState:
     def complete(self) -> bool:
         return self.forced_total == self.n
 
-    def _apply_force(self, e: int) -> None:
-        state = self.state
-        st = state[e]
-        if st == FORCED:
-            return
-        if st == EXCLUDED:
-            raise Contradiction(f"edge {self.edges[e]} both needed and excluded")
-        u, v = self.edges[e]
-        fdeg = self.forced_deg
-        fu, fv = fdeg[u] + 1, fdeg[v] + 1
-        if fu == 3 or fv == 3:
-            raise Contradiction(f"third forced edge at a vertex of {self.edges[e]}")
-        po, pl = self.path_other, self.path_len
-        eu = po[u]
-        ev = po[v]
+    def _settle(self, e: int, forcing: bool, drain: bool) -> None:
+        """Force or exclude edge e and queue what that implies; with drain,
+        go on through the queues, forces first and newest first, until both
+        are empty.  Raises Contradiction at the first decision that cannot
+        hold.  One loop over local lists, as it runs per decision."""
+        state, edges, inc, nbrs = self.state, self.edges, self.inc, self.nbrs
+        fdeg, adeg, key, cap = self.forced_deg, self.avail_deg, self.key, self.cap
+        po, pl, trail = self.path_other, self.path_len, self.trail
+        fq, xq = self._force_queue, self._exclude_queue
         n = self.n
-        if eu == v and pl[u] != n - 1:
-            # joining the two ends of one forced path too early
-            raise Contradiction(f"edge {self.edges[e]} closes a short cycle")
-        self.trail += (eu, ev, pl[eu], pl[ev], e)
-        state[e] = FORCED
-        fdeg[u] = fu
-        fdeg[v] = fv
-        self.forced_total += 1
-        adeg, buckets = self.avail_deg, self.buckets
-        if fu == adeg[u]:
-            buckets[fu].discard(u)
-        if fv == adeg[v]:
-            buckets[fv].discard(v)
-        if eu == v:
-            return
-        new_len = pl[eu] + pl[ev] + 1
-        po[eu] = ev
-        po[ev] = eu
-        pl[eu] = new_len
-        pl[ev] = new_len
-        nb = self.nbrs[eu]
-        closing = self.inc[eu][nb.index(ev)] if ev in nb else None
-        if new_len == n - 1:
-            # the path spans every vertex, the closing edge must exist
-            if closing is None or state[closing] == EXCLUDED:
-                raise Contradiction("spanning path cannot be closed")
-            self._force_queue.append(closing)
-        elif closing is not None and state[closing] == UNDECIDED:
-            self._exclude_queue.append(closing)
-        xq = self._exclude_queue
-        if fu == 2:
-            xq += [e2 for e2 in self.inc[u] if state[e2] == UNDECIDED]
-        if fv == 2:
-            xq += [e2 for e2 in self.inc[v] if state[e2] == UNDECIDED]
-
-    def _apply_exclude(self, e: int) -> None:
-        state = self.state
-        st = state[e]
-        if st == EXCLUDED:
-            return
-        if st == FORCED:
-            raise Contradiction(f"edge {self.edges[e]} both needed and excluded")
-        self.trail.append(~e)
-        state[e] = EXCLUDED
-        fdeg, adeg = self.forced_deg, self.avail_deg
-        buckets, floor = self.buckets, self.floor
-        short = 0
-        for w in self.edges[e]:
-            left = adeg[w] - 1
-            adeg[w] = left
-            buckets[left + 1].discard(w)
-            if left > fdeg[w]:
-                buckets[left].add(w)
-                if w < floor[left]:
-                    floor[left] = w
-                if left == 2:
-                    self._force_queue += [
-                        e2 for e2 in self.inc[w] if state[e2] == UNDECIDED
-                    ]
-            if left < 2 and not short:
-                short = w
-        if short:
-            # raised only once both ends are counted, as the trail undoes both
-            raise Contradiction(f"vertex {short} has fewer than two usable edges")
+        forces = 0
+        try:
+            while True:
+                st = state[e]
+                if st:  # decided already
+                    if forcing != (st == FORCED):
+                        raise Contradiction(f"edge {edges[e]} both needed and excluded")
+                elif forcing:
+                    u, v = edges[e]
+                    fu, fv = fdeg[u] + 1, fdeg[v] + 1
+                    if fu == 3 or fv == 3:
+                        raise Contradiction(f"third forced edge at a vertex of {edges[e]}")
+                    eu, ev = po[u], po[v]
+                    if eu == v and pl[u] != n - 1:
+                        # joining the two ends of one forced path too early
+                        raise Contradiction(f"edge {edges[e]} closes a short cycle")
+                    trail += (eu, ev, pl[eu], pl[ev], e)
+                    state[e] = FORCED
+                    fdeg[u], fdeg[v] = fu, fv
+                    forces += 1
+                    if fu == adeg[u]:
+                        key[u] = _CLOSED
+                    if fv == adeg[v]:
+                        key[v] = _CLOSED
+                    if eu != v:
+                        po[eu], po[ev] = ev, eu
+                        pl[eu] = pl[ev] = new_len = pl[eu] + pl[ev] + 1
+                        nb = nbrs[eu]
+                        closing = inc[eu][nb.index(ev)] if ev in nb else None
+                        if new_len == n - 1:
+                            # the path spans every vertex, the closing edge must exist
+                            if closing is None or state[closing] == EXCLUDED:
+                                raise Contradiction("spanning path cannot be closed")
+                            fq.append(closing)
+                        elif closing is not None and state[closing] == UNDECIDED:
+                            xq.append(closing)
+                        for w in (u, v):
+                            if fdeg[w] == 2:
+                                for e2 in inc[w]:
+                                    if state[e2] == UNDECIDED:
+                                        xq.append(e2)
+                else:
+                    trail.append(~e)
+                    state[e] = EXCLUDED
+                    short = 0
+                    for w in edges[e]:
+                        adeg[w] = left = adeg[w] - 1
+                        if left > fdeg[w]:
+                            key[w] = cap[left]
+                            if left == 2:
+                                for e2 in inc[w]:
+                                    if state[e2] == UNDECIDED:
+                                        fq.append(e2)
+                        else:
+                            key[w] = _CLOSED
+                        if left < 2 and not short:
+                            short = w
+                    if short:
+                        # raised only once both ends are counted, as the trail undoes both
+                        raise Contradiction(f"vertex {short} has fewer than two usable edges")
+                if not drain:
+                    break
+                if fq:
+                    e = fq.pop()
+                    forcing = True
+                elif xq:
+                    e = xq.pop()
+                    forcing = False
+                else:
+                    break
+        finally:
+            self.forced_total += forces
 
 
 def propagate(state: SolveState) -> SolveState:
     """Run the forcing rules to a fixpoint; raises Contradiction when the
     current assignment cannot extend to a Hamiltonian cycle."""
+    fq, xq = state._force_queue, state._exclude_queue
     if not state._seeded:
         state._seeded = True
         for v in range(1, state.n + 1):
             if state.avail_deg[v] < 2:
                 raise Contradiction(f"vertex {v} has fewer than two usable edges")
             if state.avail_deg[v] == 2:
-                for e in state.inc[v]:
-                    if state.state[e] == UNDECIDED:
-                        state._force_queue.append(e)
-    fq, xq = state._force_queue, state._exclude_queue
-    force, exclude = state._apply_force, state._apply_exclude
-    while fq or xq:
-        if fq:
-            force(fq.pop())
-        else:
-            exclude(xq.pop())
+                fq += [e for e in state.inc[v] if state.state[e] == UNDECIDED]
+    if fq:
+        state._settle(fq.pop(), True, True)
+    elif xq:
+        state._settle(xq.pop(), False, True)
     return state
 
 
 def _extract_cycle(state: SolveState) -> list[int]:
     fadj: list[list[int]] = [[] for _ in range(state.n + 1)]
-    for e, st in enumerate(state.state):
-        if st == FORCED:
-            u, v = state.edges[e]
-            fadj[u].append(v)
-            fadj[v].append(u)
-    cycle = [1, min(fadj[1])]
-    while True:
-        a, b = cycle[-2], cycle[-1]
-        nxt = fadj[b][0] if fadj[b][0] != a else fadj[b][1]
-        if nxt == 1:
-            break
-        cycle.append(nxt)
+    for u, v in compress(state.edges, map(FORCED.__eq__, state.state)):
+        fadj[u].append(v)
+        fadj[v].append(u)
+    cycle, prev, cur = [1], 1, min(fadj[1])
+    while cur != 1:
+        cycle.append(cur)
+        a, b = fadj[cur]
+        prev, cur = cur, (b if a == prev else a)
     return cycle
 
 
 def _pick_branch_edge(state: SolveState) -> int | None:
     """The undecided edge to the lowest neighbour of the open vertex with
     the fewest usable edges, lowest id first."""
-    for d, bucket in enumerate(state.buckets):
-        if bucket:
+    find = state.key.find
+    for d in range(1, _CLOSED):
+        v = find(d, 1)
+        if v != -1:
             break
     else:
         return None
-    # the bucket's smallest id, found by walking up from its floor
-    for v in range(state.floor[d], state.n + 1):
-        if v in bucket:
-            break
-    state.floor[d] = v
+    if d == _CAP:
+        # capped degrees share one byte, so compare the exact ones
+        adeg = state.avail_deg
+        w = find(_CAP, v + 1)
+        while w != -1:
+            if adeg[w] < adeg[v]:
+                v = w
+            w = find(_CAP, w + 1)
     st = state.state
     for e in state.inc[v]:
         if st[e] == UNDECIDED:
@@ -355,22 +345,23 @@ def solve_hcp(
         return outcome("no_cycle")
 
     state = SolveState(g)
+    trail = state.trail
     try:
         propagate(state)
     except Contradiction:
         return outcome("no_cycle")
+    stats.max_trail = len(trail)
 
     def attempt(e: int, include: bool) -> bool:
         stats.nodes += 1
         try:
-            if include:
-                state._apply_force(e)
-            else:
-                state._apply_exclude(e)
-            propagate(state)
-            return True
+            state._settle(e, include, True)
+            ok = True
         except Contradiction:
-            return False
+            stats.contradictions += 1
+            ok = False
+        stats.max_trail = max(stats.max_trail, len(trail))
+        return ok
 
     frames: list[tuple[int, int, bool]] = []  # (trail mark, edge, tried exclude)
     while True:

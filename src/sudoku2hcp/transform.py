@@ -385,8 +385,12 @@ def reduce_graph(
         if adj[v]:
             k += 1
             new_id[v] = k
-    out = {new_id[v]: [new_id[w] for w in adj[v]] for v in range(1, n + 1) if adj[v]}
-    return UndirectedGraph._from_adjacency(k, out), CycleLifter(tuple(records))
+    # new_id is monotone, so sorted neighbours stay sorted once renumbered;
+    # the sets and the contraction guards keep the graph simple
+    renumber = new_id.__getitem__
+    out = {renumber(v): tuple(map(renumber, sorted(nbrs))) for v, nbrs in enumerate(adj) if nbrs}
+    m = sum(map(len, out.values())) // 2
+    return UndirectedGraph._derived(k, m, out), CycleLifter(tuple(records))
 
 
 def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:

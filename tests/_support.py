@@ -676,6 +676,7 @@ def solve_hcp_by_scan(
             propagate_by_scan(state)
             return True
         except Contradiction:
+            stats.contradictions += 1
             return False
 
     frames: list[tuple[int, int, bool]] = []  # (trail mark, edge, tried exclude)

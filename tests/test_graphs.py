@@ -56,18 +56,6 @@ class TestSortedStorage:
             DirectedGraph(3, [(2, 1), (1, 2), (2, 1)])
         DirectedGraph(2, [(1, 2), (2, 1)])
 
-    def test_from_adjacency_matches_edge_list(self):
-        g = UndirectedGraph(5, [(1, 2), (2, 3), (3, 1), (3, 4)])
-        h = UndirectedGraph._from_adjacency(5, {1: [3, 2], 2: [3, 1], 3: [4, 2, 1], 4: [3]})
-        assert h == g and h.m == g.m == 4
-        assert list(h.edges()) == list(g.edges())
-        with pytest.raises(ValueError, match="out of range"):
-            UndirectedGraph._from_adjacency(2, {1: [3], 3: [1]})
-        with pytest.raises(ValueError, match="self-loop"):
-            UndirectedGraph._from_adjacency(2, {1: [1, 2], 2: [1]})
-        with pytest.raises(ValueError, match="duplicate"):
-            UndirectedGraph._from_adjacency(2, {1: [2, 2], 2: [1, 1]})
-
     @pytest.mark.parametrize(
         "n,edges,want",
         [

@@ -33,6 +33,7 @@ from _support import (
     dodecahedron,
     petersen,
     propagate_by_scan,
+    random_directed_arcs,
     random_undirected,
     solve_hcp_by_scan,
     well_formed_order4,
@@ -67,6 +68,39 @@ class TestVerifyCycle:
     def test_duplicates_rejected(self):
         g = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
         assert not verify_cycle(g, [1, 2, 2])
+
+    def test_matches_per_step_check(self):
+        rng = random.Random(1603)
+        answers = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(0, 7)
+            if rng.random() < 0.5:
+                g = DirectedGraph(n, random_directed_arcs(rng, n, rng.uniform(0.4, 1.0)))
+            else:
+                g = random_undirected(rng, n, rng.uniform(0.4, 1.0))
+            cycle = rng.sample(range(1, n + 1), n)
+            change = rng.randrange(5)
+            if change == 1 and cycle:
+                cycle[rng.randrange(n)] = rng.choice([0, -1, n + 1, rng.randint(1, n)])
+            elif change == 2:
+                cycle = cycle[: rng.randint(0, n)] + rng.sample(range(-1, n + 3), rng.randint(0, 2))
+            want = _verify_by_steps(g, cycle)
+            assert verify_cycle(g, cycle) is want, (g, list(cycle))
+            assert verify_cycle(g, tuple(cycle)) is want
+            answers[want] += 1
+        assert min(answers.values()) >= 300, answers
+
+
+def _verify_by_steps(g, cycle) -> bool:
+    """verify_cycle as one has_arc/has_edge call per step."""
+    n = g.n
+    if len(cycle) != n or len(set(cycle)) != n:
+        return False
+    if any(not 1 <= v <= n for v in cycle):
+        return False
+    if isinstance(g, DirectedGraph):
+        return n >= 2 and all(g.has_arc(cycle[i - 1], cycle[i]) for i in range(n))
+    return n >= 3 and all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(n))
 
 
 class TestPropagate:
@@ -188,6 +222,19 @@ class TestSolve:
         assert out.status == "cycle"
         assert out.stats.nodes == 0
 
+    def test_search_counters_repeat(self):
+        g35 = _pipeline_graph(parse_sudoku(PUZZLE_35, "line"))
+        for g, status in ((petersen(), "no_cycle"), (g35, "cycle")):
+            runs = [solve_hcp(g) for _ in range(3)]
+            assert {out.status for out in runs} == {status}
+            assert len({(out.stats.contradictions, out.stats.max_trail) for out in runs}) == 1
+            # failed attempts are the scan solver's, whose trail differs
+            assert runs[0].stats.contradictions == solve_hcp_by_scan(g).stats.contradictions
+        # Petersen's search fails somewhere; a trail holds 5 entries a force
+        # (at most n) and 1 an exclusion, and a found cycle forces all n
+        assert solve_hcp(petersen()).stats.contradictions > 0
+        assert 5 * g35.n <= runs[0].stats.max_trail <= 4 * g35.n + g35.m
+
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             solve_hcp(UndirectedGraph(2, [(1, 2)]))
@@ -245,8 +292,8 @@ def _same_search(g: UndirectedGraph, budget: SolveBudget) -> str:
 
 
 class TestMatchesScanSolver:
-    """The bucketed solver takes the branches of the full-scan solver it
-    replaced, so status, cycle, nodes and depth agree exactly."""
+    """The solver takes the branches of the full-scan solver it replaced,
+    so status, cycle, nodes and depth agree exactly."""
 
     def test_random_graphs(self):
         rng = random.Random(2718)
@@ -294,79 +341,84 @@ def _snapshot(state) -> tuple:
     )
 
 
-def _assert_buckets_rebuilt(state: SolveState) -> None:
-    """The buckets hold exactly the open vertices by usable degree, and no
-    id lies below its bucket's floor."""
-    buckets: list[set[int]] = [set() for _ in state.buckets]
+def _assert_key_rebuilt(state: SolveState) -> None:
+    """Open vertices hold min(usable degree, 254) in the key, all others
+    (vertex 0 too) hold 255."""
+    want = bytearray(b"\xff") * (state.n + 1)
     for v in range(1, state.n + 1):
         if state.avail_deg[v] > state.forced_deg[v]:
-            buckets[state.avail_deg[v]].add(v)
-    assert state.buckets == buckets
-    for bucket, floor in zip(state.buckets, state.floor):
-        assert all(v >= floor for v in bucket)
+            want[v] = min(state.avail_deg[v], 254)
+    assert state.key == want
+
+
+def _random_steps(rng, edges, state, ref, steps) -> bool:
+    """Random forces, exclusions and propagations on both solver states,
+    drawn from edges, stopping at the first contradiction.  Both must agree
+    on every contradiction, on every array up to it and on the branch edge
+    they would pick, and the key must match the arrays; a contradicted
+    state is only ever rolled back, so its arrays may differ.  True when
+    the steps ended in a contradiction."""
+    for _ in range(steps):
+        u, v = rng.choice(edges)
+        include = rng.random() < 0.5
+        run_propagate = rng.random() < 0.5
+        outcomes = []
+        for st, prop in ((state, propagate), (ref, propagate_by_scan)):
+            try:
+                if include:
+                    st.force(u, v)
+                else:
+                    st.exclude(u, v)
+                if run_propagate:
+                    prop(st)
+                outcomes.append(None)
+            except Contradiction as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            return True
+        assert _snapshot(state) == _snapshot(ref)
+        _assert_key_rebuilt(state)
+        assert _pick_branch_edge(state) == _pick_branch_edge_by_scan(ref)
+    return False
+
+
+def _steps_and_rollbacks(rng, g, edges, rounds, max_steps) -> None:
+    """Rounds of random steps on g's two solver states, each rolled back
+    to its mark; every rollback restores every array and the key."""
+    state, ref = SolveState(g), ScanSolveState(g)
+    fresh = _snapshot(state)
+    _assert_key_rebuilt(state)
+    assert _pick_branch_edge(state) == _pick_branch_edge_by_scan(ref)
+    for _ in range(rounds):
+        mark, ref_mark = state.mark(), ref.mark()
+        at_mark = _snapshot(state)
+        if _random_steps(rng, edges, state, ref, rng.randint(0, max_steps // 2)):
+            state.rollback(mark)
+            ref.rollback(ref_mark)
+            assert _snapshot(state) == at_mark == _snapshot(ref)
+            _assert_key_rebuilt(state)
+        mark, ref_mark = state.mark(), ref.mark()
+        at_mark = _snapshot(state)
+        _random_steps(rng, edges, state, ref, rng.randint(1, max_steps))
+        state.rollback(mark)
+        ref.rollback(ref_mark)
+        assert _snapshot(state) == at_mark == _snapshot(ref)
+        _assert_key_rebuilt(state)
+        if rng.random() < 0.3:
+            state.rollback(0)
+            ref.rollback(0)
+            assert _snapshot(state) == fresh == _snapshot(SolveState(g))
+            _assert_key_rebuilt(state)
 
 
 class TestRollback:
-    @staticmethod
-    def _random_steps(rng, g, state, ref, steps) -> bool:
-        """Random forces, exclusions and propagations on both solver states,
-        stopping at the first contradiction.  Both must agree on every
-        contradiction, on every array up to it and on the branch edge they
-        would pick; a contradicted state is only ever rolled back, so its
-        arrays may differ.  True when the steps ended in a contradiction."""
-        edges = list(g.edges())
-        for _ in range(steps):
-            u, v = rng.choice(edges)
-            include = rng.random() < 0.5
-            run_propagate = rng.random() < 0.5
-            outcomes = []
-            for st, prop in ((state, propagate), (ref, propagate_by_scan)):
-                try:
-                    if include:
-                        st.force(u, v)
-                    else:
-                        st.exclude(u, v)
-                    if run_propagate:
-                        prop(st)
-                    outcomes.append(None)
-                except Contradiction as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1]
-            if outcomes[0] is not None:
-                return True
-            assert _snapshot(state) == _snapshot(ref)
-            if rng.random() < 0.5:
-                # the pick raises a bucket's floor, which later undos lower
-                assert _pick_branch_edge(state) == _pick_branch_edge_by_scan(ref)
-        return False
-
-    def test_rollback_restores_every_array_and_bucket(self):
+    def test_rollback_restores_every_array_and_key(self):
         rng = random.Random(5150)
         graphs = [random_undirected(rng, rng.randint(5, 14), 0.5) for _ in range(150)]
         graphs.append(_pipeline_graph(parse_sudoku("1...2..3......2.")))
         for g in graphs:
-            state, ref = SolveState(g), ScanSolveState(g)
-            fresh = _snapshot(state)
-            for _ in range(6):
-                mark, ref_mark = state.mark(), ref.mark()
-                at_mark = _snapshot(state)
-                if self._random_steps(rng, g, state, ref, rng.randint(0, 6)):
-                    state.rollback(mark)
-                    ref.rollback(ref_mark)
-                    assert _snapshot(state) == at_mark == _snapshot(ref)
-                mark, ref_mark = state.mark(), ref.mark()
-                at_mark = _snapshot(state)
-                _assert_buckets_rebuilt(state)
-                self._random_steps(rng, g, state, ref, rng.randint(1, 12))
-                state.rollback(mark)
-                ref.rollback(ref_mark)
-                assert _snapshot(state) == at_mark == _snapshot(ref)
-                _assert_buckets_rebuilt(state)
-                if rng.random() < 0.3:
-                    state.rollback(0)
-                    ref.rollback(0)
-                    assert _snapshot(state) == fresh == _snapshot(SolveState(g))
-                    _assert_buckets_rebuilt(state)
+            _steps_and_rollbacks(rng, g, list(g.edges()), 6, 12)
 
     def test_non_edges_rejected(self):
         state = SolveState(UndirectedGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
@@ -374,3 +426,32 @@ class TestRollback:
             for call in (state.force, state.exclude, state.edge_state):
                 with pytest.raises(ValueError):
                     call(u, v)
+
+
+def _dense_graph(n: int, missing: set[tuple[int, int]]) -> UndirectedGraph:
+    return UndirectedGraph(
+        n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if (a, b) not in missing]
+    )
+
+
+class TestDegreeCap:
+    """Usable degrees of 254 and more share the key byte 254; the pick
+    among them must still be the scan's."""
+
+    def test_complete_graph(self):
+        g = _dense_graph(258, set())  # every degree 257
+        few = list(_dense_graph(6, set()).edges())
+        _steps_and_rollbacks(random.Random(258), g, few, 5, 14)
+
+    def test_degrees_254_255_and_300(self):
+        # 300 keeps 254 edges, 10 keeps 255, their dropped neighbours 299
+        # and everyone else 300
+        missing = {(a, 300) for a in range(200, 246)} | {(10, b) for b in range(250, 295)}
+        g = _dense_graph(301, missing)
+        assert [g.degree(v) for v in (1, 10, 200, 250, 300)] == [300, 255, 299, 299, 254]
+        state = SolveState(g)
+        assert state.key[1] == state.key[10] == state.key[300] == 254
+        assert state.edges[_pick_branch_edge(state)] == (1, 300)
+        around = {1, 2, 10, 200, 250, 300}
+        few = [(a, b) for a, b in g.edges() if a in around and b in around]
+        _steps_and_rollbacks(random.Random(300), g, few, 5, 14)

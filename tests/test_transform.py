@@ -321,21 +321,22 @@ class TestReduce:
 
 def reduce_text(out):
     """What reduce_graph's answer pins: the Infeasible reason, or the
-    reduced graph's file text and the journal's path records expanded
-    into the pair contractions of the pass-by-pass scan."""
+    reduced graph's file text and storage, and the journal's path records
+    expanded into the pair contractions of the pass-by-pass scan."""
     if isinstance(out, Infeasible):
         return out.reason
     reduced, lifter = out
-    return export_graph(reduced), pair_records(lifter.records)
+    return export_graph(reduced), storage(reduced), pair_records(lifter.records)
 
 
 def oracle_text(out):
-    """The same for reduce_graph_by_passes, less its edge deletions."""
+    """The same for reduce_graph_by_passes, less its edge deletions; its
+    graph comes from the public, checking constructor."""
     if isinstance(out, Infeasible):
         return out.reason
     reduced, records = out
     kept = [r for r in records if not isinstance(r, EdgeDeletion)]
-    return export_graph(reduced), kept
+    return export_graph(reduced), storage(reduced), kept
 
 
 def random_reduce_input(rng: random.Random) -> UndirectedGraph:
