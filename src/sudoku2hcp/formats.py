@@ -115,7 +115,11 @@ def save_journal(lifter: CycleLifter) -> str:
     """Line format, in the journal's base ids: 'T n',
     'g removed left right' and 'p survivor end0 end1 v1 ... vk', a
     contracted path v1..vk (survivor included, k >= 2) that runs from the
-    vertex next to end0 to the vertex next to end1."""
+    vertex next to end0 to the vertex next to end1.  reduce_graph orients
+    it as Contraction states: in end0 v1 ... vk end1 the id just before
+    the survivor is smaller than the id just after it, except for a pair
+    contracted on the way to a terminal triangle, which reads survivor
+    first."""
     lines = []
     for rec in lifter.records:
         if isinstance(rec, Triplication):

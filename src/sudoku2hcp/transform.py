@@ -2,10 +2,11 @@
 
 Three transforms are provided: the directed-to-undirected triplication,
 removal of the redundant middle vertex inside every candidate triple, and
-a degree-2 reduction heuristic.  Each returns a new graph together with a
-CycleLifter journal; replaying the journal backwards maps a Hamiltonian
-cycle of the transformed graph to one of the original graph.  Deleted
-edges leave no record: a cycle of a subgraph is a cycle of the graph.
+a degree-2 reduction heuristic.  Each leaves its input as it was (the
+reduction shares its neighbour tuples) and returns a new graph together
+with a CycleLifter journal; replaying the journal backwards maps a
+Hamiltonian cycle of the transformed graph to one of the original graph.
+Deleted edges leave no record: a cycle of a subgraph is a cycle of the graph.
 
 Record id semantics: every record names vertices by their id in the
 journal's base graph, the graph its first transform was applied to (after
@@ -20,9 +21,10 @@ when formats.load_journal reads them.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, pairwise
+from itertools import accumulate, chain, compress, pairwise
 from typing import Callable
 
 from .graphs import DirectedGraph, UndirectedGraph
@@ -54,6 +56,11 @@ class Contraction:
     vertex next to ends[0] to the vertex next to ends[1]; `ends` are the
     outer neighbours the path attaches to.  Every vertex of `path` but the
     survivor is deleted, and the survivor is left adjacent to both ends.
+    reduce_graph writes a path it collapses in one sweep from the side of
+    the survivor's smaller neighbour: the vertex before the survivor, or
+    ends[0], has a smaller id than the one after it, or ends[1].  A pair it
+    contracts step by step, on the way to a terminal triangle, reads
+    survivor first: path (survivor, absorbed), ends (their other neighbours).
     """
 
     survivor: int
@@ -255,38 +262,29 @@ def compress_triples(
         raise ValueError(
             f"graph has {g.n} vertices, not the triplication of an order-{n} encoding"
         )
-    mids: list[int] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                mids.append(mid_copy(label_cand(i, j, k, 2, n)))
-                mids.append(mid_copy(label_dup(i, j, k, 2, n)))
-    mids.sort(reverse=True)
-    removed = set()
-    records: list[Record] = []
+    # as in reduce_graph, and before a bare header can make 2N^3 ids
+    if g.m < g.n:
+        raise ValueError(f"{g.m} edges cannot cover {g.n} vertices")
+    low = g.low_degree_vertex()
+    if low:
+        raise ValueError(f"vertex {low} has degree {g.degree(low)}")
+    r = range(1, n + 1)
+    slot2 = [f(i, j, k, 2, n) for i in r for j in r for k in r for f in (label_cand, label_dup)]
+    mids = sorted(map(mid_copy, slot2), reverse=True)
     for mv in mids:
         if g.neighbors(mv) != [mv - 1, mv + 1]:
             raise ValueError(f"vertex {mv} is not a removable gadget middle")
         if g.has_edge(mv - 1, mv + 1):
             raise ValueError(f"bridge ({mv - 1}, {mv + 1}) already present")
-        records.append(GadgetRemoval(mv, mv - 1, mv + 1))
-        removed.add(mv)
-
+    records = tuple(GadgetRemoval(mv, mv - 1, mv + 1) for mv in mids)
+    removed = set(mids)
     alive = [v for v in range(1, g.n + 1) if v not in removed]
-    new_id = {v: idx + 1 for idx, v in enumerate(alive)}
-    edges = [
-        (new_id[a], new_id[b])
-        for a, b in g.edges()
-        if a not in removed and b not in removed
-    ]
+    new_id = {v: idx for idx, v in enumerate(alive, 1)}
+    edges = [(new_id[a], new_id[b]) for a, b in g.edges() if a in new_id and b in new_id]
     edges.extend((new_id[mv - 1], new_id[mv + 1]) for mv in mids)
     out = UndirectedGraph(len(alive), edges)
     assert out.m == g.m - len(mids)
-    return out, CycleLifter(tuple(records))
-
-
-# a deleted vertex's adjacency: never a neighbour, so never mutated
-_GONE: frozenset[int] = frozenset()
+    return out, CycleLifter(records)
 
 
 def reduce_graph(
@@ -300,28 +298,28 @@ def reduce_graph(
 
     Each pass scans its pending vertices in ascending id, first for rule 2
     and then for rule 1, since rule 2 creates the chains that rule 1
-    collapses; in the first pass every vertex is pending.  Only a rule-2
-    deletion changes what either rule finds at a vertex.  Deleting edges
-    of v leaves v with degree 2, so v and its two kept neighbours become
-    pending for this pass's rule-1 scan.  A dropped neighbour w that falls
-    to degree 2 makes w and its neighbours pending for rule 1, and its
+    collapses.  Rule 2 never lowers a vertex below degree 2 and a
+    contraction changes no degree, so only a rule-2 deletion makes a
+    vertex newly pending: the first pass seeds rule 2 at the vertices with
+    two or more degree-2 neighbours and rule 1 at the degree-2 vertices.
+    A deletion at v leaves v with degree 2 and makes v and its two kept
+    neighbours pending for rule 1.  A dropped neighbour w that falls to
+    degree 2 makes w and its neighbours pending for rule 1, and its
     neighbours for rule 2 too: in this scan if they lie above v, in the
-    next pass's otherwise.  A contraction keeps every degree and swaps one
-    degree-2 neighbour for another, so it makes nothing pending.  Every
-    vertex of a degree-2 path is then pending, so the rule-1 scan meets
-    each path at its smallest id and collapses the whole path there.  The
-    passes end when nothing is pending for rule 2.  The reduced graph and
-    the reasons are exactly those of the pass-by-pass scan that visits
-    every vertex on every pass (ascending ids, rule 2 before rule 1) until
-    a pass changes nothing, which records each contracted pair and deleted
-    edge; the journal holds one Contraction per collapsed path instead.
+    next pass's otherwise.  Every vertex of a degree-2 path is then
+    pending, so the rule-1 scan meets each path at its smallest id and
+    collapses it there, with one Contraction.  The passes end when nothing
+    is pending for rule 2.  The reduced graph and the reasons are exactly
+    those of the pass-by-pass scan that visits every vertex on every pass
+    (ascending ids, rule 2 before rule 1) until a pass changes nothing;
+    its pair contractions are the journal's paths taken apart.
 
     Returns Infeasible when the rules certify that no Hamiltonian cycle
     exists: fewer edges than vertices or a vertex of degree below 2 (both
     checked before anything is allocated per vertex), a vertex with three
     or more degree-2 neighbours, or a contraction that would double an
     edge in a graph larger than a triangle (a forced short cycle).
-    Records name vertices by their ids in g.
+    Records name vertices by their ids in g, which is left unchanged.
     """
     if g.n < 4:
         raise ValueError("reduction expects at least 4 vertices")
@@ -331,13 +329,16 @@ def reduce_graph(
     if low:
         return Infeasible(f"vertex {low} has degree {g.degree(low)}")
     n = g.n
-    adj: list[set[int] | frozenset[int]] = [_GONE]
-    # no vertex has degree < 2, so the keys are exactly 1..n, ascending
-    adj.extend(map(set, g._adj.values()))
+    # g's own sorted tuples (keys 1..n, as no degree is < 2); a rule that
+    # changes a vertex writes it a new sorted one, and a deleted vertex ()
+    adj: list[tuple[int, ...]] = [(), *g._adj.values()]
     records: list[Record] = []
     alive = n
-    rule2 = bytearray(b"\x01") * (n + 1)
-    rule1 = bytearray(rule2)
+    rule1 = bytearray([len(t) == 2 for t in adj])
+    rule2 = bytearray(n + 1)
+    for x, k in Counter(chain.from_iterable(compress(adj, rule1))).items():
+        if k > 1:
+            rule2[x] = 1
     while True:
         next_rule2 = bytearray(n + 1)
         v = rule2.find(1, 1)
@@ -346,14 +347,15 @@ def reduce_graph(
             if len(nbrs) > 2:
                 deg2 = [u for u in nbrs if len(adj[u]) == 2]
                 if len(deg2) >= 3:
-                    return Infeasible(
-                        f"vertex {v} has {len(deg2)} degree-2 neighbours"
-                    )
+                    return Infeasible(f"vertex {v} has {len(deg2)} degree-2 neighbours")
                 if len(deg2) == 2:
-                    for w in sorted(nbrs.difference(deg2)):
-                        nbrs.discard(w)
+                    d0, d1 = adj[v] = tuple(deg2)
+                    for w in nbrs:
+                        if w == d0 or w == d1:
+                            continue
                         around = adj[w]
-                        around.discard(v)
+                        i = around.index(v)
+                        adj[w] = around = around[:i] + around[i + 1 :]
                         if len(around) == 2:
                             rule1[w] = 1
                             for x in around:
@@ -362,7 +364,7 @@ def reduce_graph(
                                     rule2[x] = 1
                                 else:
                                     next_rule2[x] = 1
-                    rule1[v] = rule1[deg2[0]] = rule1[deg2[1]] = 1
+                    rule1[v] = rule1[d0] = rule1[d1] = 1
             v = rule2.find(1, v + 1)
 
         v = rule1.find(1, 1)
@@ -379,18 +381,18 @@ def reduce_graph(
             break
         rule2, rule1 = next_rule2, bytearray(n + 1)
 
-    new_id = [0] * (n + 1)
-    k = 0
-    for v in range(1, n + 1):
-        if adj[v]:
-            k += 1
-            new_id[v] = k
-    # new_id is monotone, so sorted neighbours stay sorted once renumbered;
-    # the sets and the contraction guards keep the graph simple
-    renumber = new_id.__getitem__
-    out = {renumber(v): tuple(map(renumber, sorted(nbrs))) for v, nbrs in enumerate(adj) if nbrs}
+    # the count alive up to v is a live v's new id, and monotone, so tuples
+    # stay sorted; the contraction guards never double an edge
+    renumber = list(accumulate(map(bool, adj))).__getitem__
+    out = dict(enumerate([tuple(map(renumber, t)) for t in filter(None, adj)], 1))
     m = sum(map(len, out.values())) // 2
-    return UndirectedGraph._derived(k, m, out), CycleLifter(tuple(records))
+    return UndirectedGraph._derived(alive, m, out), CycleLifter(tuple(records))
+
+
+def _replaced(nbrs: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
+    """The sorted tuple nbrs with old swapped for new, still sorted."""
+    i = nbrs.index(old)
+    return tuple(sorted((*nbrs[:i], new, *nbrs[i + 1 :])))
 
 
 def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:
@@ -409,7 +411,8 @@ def _contract_path(
     adj: list, m: int, records: list[Record], alive: int
 ) -> int | Infeasible:
     """Collapse the degree-2 path through m, its smallest id, into m with
-    one record, and return how many vertices are left alive.
+    one record, from the side of m's smaller neighbour, and return how
+    many vertices are left alive.
 
     Contracting step by step would keep m and absorb every other vertex
     of the path.  A cycle of degree-2 vertices and a path whose ends
@@ -426,14 +429,12 @@ def _contract_path(
     path = (*reversed(left), m, *right)
     records.append(Contraction(m, path, (end_l, end_r)))
     for t in path:
-        adj[t] = _GONE
-    adj[m] = {end_l, end_r}
+        adj[t] = ()
+    adj[m] = (end_l, end_r) if end_l < end_r else (end_r, end_l)
     if left:
-        adj[end_l].discard(left[-1])
-        adj[end_l].add(m)
+        adj[end_l] = _replaced(adj[end_l], left[-1], m)
     if right:
-        adj[end_r].discard(right[-1])
-        adj[end_r].add(m)
+        adj[end_r] = _replaced(adj[end_r], right[-1], m)
     return alive - len(path) + 1
 
 
@@ -442,22 +443,21 @@ def _contract_stepwise(
 ) -> int | Infeasible:
     """Contract node with its smaller degree-2 neighbour until it has none."""
     while len(adj[node]) == 2:
-        partners = sorted(u for u in adj[node] if len(adj[u]) == 2)
-        if not partners:
+        a, b = adj[node]
+        partner = a if len(adj[a]) == 2 else b if len(adj[b]) == 2 else 0
+        if not partner:
             break
-        s, t = (node, partners[0]) if node < partners[0] else (partners[0], node)
-        p = next(iter(adj[s] - {t}))
-        q = next(iter(adj[t] - {s}))
+        s, t = (node, partner) if node < partner else (partner, node)
+        p = sum(adj[s]) - t
+        q = sum(adj[t]) - s
         if p == q:
             if alive > 3:
                 return Infeasible(f"contracting ({s}, {t}) would double edge to {p}")
             break  # a bare triangle is terminal and Hamiltonian
         records.append(Contraction(s, (s, t), (p, q)))
-        adj[s].discard(t)
-        adj[s].add(q)
-        adj[q].discard(t)
-        adj[q].add(s)
-        adj[t] = _GONE
+        adj[s] = (p, q) if p < q else (q, p)
+        adj[q] = _replaced(adj[q], t, s)
+        adj[t] = ()
         alive -= 1
         node = s
     return alive

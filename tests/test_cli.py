@@ -223,3 +223,27 @@ def test_undirect_fewer_arcs_than_vertices(puzzle_file, capsys, tmp_path):
     assert captured.err == "infeasible: 0 arcs cannot cover 200000 vertices\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.dhcp"]
+
+
+@pytest.mark.parametrize(
+    "argv,rc,err",
+    [
+        (["compress", "-o", "c.uhcp", "--journal-out", "j"], 3,
+         "error: 0 edges cannot cover 18150606 vertices\n"),
+        (["reduce", "-o", "r.uhcp", "--journal-out", "j"], 1,
+         "infeasible: 0 edges cannot cover 18150606 vertices\n"),
+        (["solve", "-o", "s.cycle"], 1, "no Hamiltonian cycle\n"),
+    ],
+)
+def test_header_only_graph(puzzle_file, capsys, tmp_path, argv, rc, err):
+    # 16 bytes claim the triplication of an order-100 encoding, whose
+    # compression alone would list 2N^3 = 2,000,000 gadget middles; each
+    # stage answers in bounded memory, with nothing written
+    path = puzzle_file("empty.uhcp", "UHCP 18150606 0")
+    argv = [argv[0], path] + [a if a.startswith("-") else f"{tmp_path}/{a}" for a in argv[1:]]
+    rcs = []
+    assert peak_bytes(lambda: rcs.append(main(argv))) < 1_000_000
+    assert rcs == [rc]
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.uhcp"]

@@ -24,14 +24,18 @@ from sudoku2hcp import (
     verify_cycle,
     witness_cycle,
 )
+from sudoku2hcp.formats import save_journal
+from sudoku2hcp.labels import vertex_count
 from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication
 from _support import (
     PUZZLE_35,
     EdgeDeletion,
+    PairContraction,
     all_order4_solutions,
     brute_directed_hamiltonian,
     brute_undirected_hamiltonian,
     pair_records,
+    peak_bytes,
     random_directed_arcs,
     reduce_graph_by_passes,
     storage,
@@ -181,6 +185,32 @@ class TestCompress:
     def test_shape_rejected(self):
         with pytest.raises(ValueError):
             compress_triples(UndirectedGraph(5, [(1, 2)]), 4)
+
+    def test_header_only_rejected_before_the_middles(self):
+        # the size of an order-100 triplication and no edges: rejected
+        # before the 2N^3 = 2,000,000 gadget middles are listed
+        g = UndirectedGraph(3 * vertex_count(100), [])
+
+        def attempt():
+            with pytest.raises(ValueError, match="^0 edges cannot cover 18150606 vertices$"):
+                compress_triples(g, 100)
+
+        assert peak_bytes(attempt) < 1_000_000
+
+    def test_low_degree_rejected(self):
+        ug, _ = undirect(build_hcp(4))
+        # in-copy 1 keeps only its edge to its middle, 2
+        g = UndirectedGraph(ug.n, [e for e in ug.edges() if 1 not in e or e == (1, 2)])
+        assert g.m >= g.n
+        with pytest.raises(ValueError, match="^vertex 1 has degree 1$"):
+            compress_triples(g, 4)
+
+    def test_right_size_non_encoding_keeps_its_error(self):
+        # every degree 2 and m = n, but v's neighbours are v - 2 and v + 2
+        n = 3 * vertex_count(4)
+        g = UndirectedGraph(n, [(v, (v + 1) % n + 1) for v in range(1, n + 1)])
+        with pytest.raises(ValueError, match="is not a removable gadget middle"):
+            compress_triples(g, 4)
 
 
 def cycle_graph(n):
@@ -366,6 +396,58 @@ def thinned_order4_graph(rng: random.Random) -> UndirectedGraph:
     return undirect(pruned)[0]
 
 
+def random_triplication(rng: random.Random) -> UndirectedGraph:
+    """The triplication of a digraph on 3..12 vertices, half of them
+    holding a random Hamiltonian cycle, in which up to half the vertices
+    keep one out-arc and up to half one in-arc: a degree-2 in- or out-copy
+    next to its degree-2 middle lets rule 1 contract and rule 2 delete."""
+    n = rng.randint(3, 12)
+    arcs = set(random_directed_arcs(rng, n, rng.uniform(0.1, 0.6)))
+    if rng.random() < 0.5:
+        ring = rng.sample(range(1, n + 1), n)
+        arcs.update(zip(ring, ring[1:] + ring[:1]))
+    for side in (0, 1):
+        for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2)):
+            at_v = sorted(a for a in arcs if a[side] == v)
+            if at_v:
+                arcs.difference_update(at_v)
+                arcs.add(rng.choice(at_v))
+    return undirect(DirectedGraph(n, sorted(arcs)))[0]
+
+
+def checked_reduce(g: UndirectedGraph):
+    """reduce_graph(g), checked to leave g stored as it was: the reduction
+    works on g's own neighbour tuples."""
+    n, m, keys, adj = storage(g)
+    before = (n, m, keys, dict(adj))
+    out = reduce_graph(g)
+    assert storage(g) == before
+    return out
+
+
+def runs_from_smaller_neighbour(rec: Contraction) -> bool:
+    """The orientation reduce_graph gives a path it collapses in one sweep:
+    the survivor's neighbour before it on the path (or ends[0]) has a
+    smaller id than the one after it (or ends[1])."""
+    k = rec.path.index(rec.survivor)
+    before = rec.path[k - 1] if k else rec.ends[0]
+    after = rec.path[k + 1] if k + 1 < len(rec.path) else rec.ends[1]
+    return before < after
+
+
+def assert_matches_oracle(g: UndirectedGraph):
+    """checked_reduce(g) against the pass-by-pass scan; unless the graph
+    ends in the terminal triangle, whose step-by-step pairs read survivor
+    first, every path also follows the orientation rule.  Returns the
+    oracle's answer."""
+    out = checked_reduce(g)
+    want = reduce_graph_by_passes(g)
+    assert reduce_text(out) == oracle_text(want), list(g.edges())
+    if not isinstance(out, Infeasible) and out[0].n > 3:
+        assert all(map(runs_from_smaller_neighbour, out[1].records))
+    return want
+
+
 class TestReduceMatchesPassByPass:
     """reduce_graph against the pass-by-pass scan it replaced: the same
     reduced graph, the same reasons, and path records that expand into
@@ -375,26 +457,49 @@ class TestReduceMatchesPassByPass:
         rng = random.Random(2024)
         infeasible = 0
         for _ in range(2400):
-            g = random_reduce_input(rng)
-            want = oracle_text(reduce_graph_by_passes(g))
-            assert reduce_text(reduce_graph(g)) == want, list(g.edges())
-            infeasible += isinstance(want, str)
+            want = assert_matches_oracle(random_reduce_input(rng))
+            infeasible += isinstance(want, Infeasible)
         # both outcomes are well represented
         assert 400 < infeasible < 2000
+
+    def test_random_triplications(self):
+        rng = random.Random(909)
+        infeasible = by_rules = deletions = contractions = 0
+        for _ in range(1500):
+            want = assert_matches_oracle(random_triplication(rng))
+            if isinstance(want, Infeasible):
+                infeasible += 1
+                by_rules += "neighbours" in want.reason or "double" in want.reason
+                continue
+            records = want[1]
+            deletions += any(isinstance(r, EdgeDeletion) for r in records)
+            contractions += any(isinstance(r, PairContraction) for r in records)
+        # infeasible and reduced graphs, the rules deciding some of the
+        # former and both firing on many of the latter
+        assert 300 < infeasible < 1200 and by_rules > 100
+        assert deletions > 150 and contractions > 300
 
     def test_order4_thinnings(self):
         rng = random.Random(31)
         for _ in range(30):
-            g = thinned_order4_graph(rng)
-            want = oracle_text(reduce_graph_by_passes(g))
-            assert reduce_text(reduce_graph(g)) == want
+            assert_matches_oracle(thinned_order4_graph(rng))
 
     def test_puzzle_35(self):
         pruned, _ = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))
-        g = undirect(pruned)[0]
-        want = oracle_text(reduce_graph_by_passes(g))
-        assert not isinstance(want, str)
-        assert reduce_text(reduce_graph(g)) == want
+        want = assert_matches_oracle(undirect(pruned)[0])
+        assert not isinstance(want, Infeasible)
+
+    def test_path_runs_from_the_survivors_smaller_neighbour(self):
+        # the path 2-1-9 joins 3 and 4 of a K6 on 3..8; CPython iterates
+        # the set {2, 9} as 9, 2, an order that once chose the orientation
+        assert list({2, 9}) == [9, 2]
+        edges = [(a, b) for a in range(3, 9) for b in range(a + 1, 9)]
+        g = UndirectedGraph(9, edges + [(2, 3), (1, 2), (1, 9), (4, 9)])
+        assert_matches_oracle(g)
+        reduced, lifter = reduce_graph(g)
+        assert lifter.records == (Contraction(1, (2, 1, 9), (3, 4)),)
+        assert save_journal(lifter) == "p 1 3 4 2 1 9\n"
+        assert reduced.n == 7 and reduced.edge_set() >= {(1, 2), (1, 3)}
 
     def test_four_cycle_ends_in_triangle(self):
         # a cycle of degree-2 vertices takes the step-by-step walk: one
