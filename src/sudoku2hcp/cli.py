@@ -1,14 +1,13 @@
 """Command-line pipeline over the library.
 
 Exit codes: 0 success, 1 unsatisfiable or invalid, 2 budget exhausted,
-3 input errors.  The environment variable SUDOKU2HCP_BUDGET_MS, when set,
-overrides the solve time budget of the solve and pipeline subcommands.
+3 input errors.  The solve and pipeline subcommands take their budget from
+--budget-nodes and --budget-ms only.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .construct import build_hcp, prune_fixed, recover_solution
@@ -49,9 +48,6 @@ def _budget(args) -> SolveBudget:
         budget.max_nodes = args.budget_nodes
     if getattr(args, "budget_ms", None) is not None:
         budget.max_ms = args.budget_ms
-    env = os.environ.get("SUDOKU2HCP_BUDGET_MS")
-    if env is not None:
-        budget.max_ms = int(env)
     return budget
 
 
@@ -63,11 +59,9 @@ def _load_undirected(path: str) -> UndirectedGraph:
 
 
 def _cmd_convert(args) -> int:
+    # always pruned for the clues: the blank encoding would drop them
     instance = parse_sudoku(_read(args.puzzle), args.format)
-    g = build_hcp(instance.order)
-    removed = 0
-    if args.prune:
-        g, removed = prune_fixed(g, instance)
+    g, removed = prune_fixed(build_hcp(instance.order), instance)
     _write(args.out, export_graph(g))
     print(f"wrote {args.out}: {g.n} vertices, {g.m} arcs, {removed} pruned")
     return OK
@@ -221,10 +215,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget-ms", type=int, default=None)
         sp.add_argument("--stats", action="store_true")
 
-    sp = sub.add_parser("convert", help="puzzle to directed graph file")
+    sp = sub.add_parser("convert", help="puzzle to directed graph file, pruned for its clues")
     sp.add_argument("puzzle")
     sp.add_argument("-o", "--out", required=True)
-    sp.add_argument("--prune", action="store_true")
     puzzle_opts(sp)
     sp.set_defaults(func=_cmd_convert)
 

@@ -7,13 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import DirectedGraph, UndirectedGraph
-from .transform import (
-    Contraction,
-    CycleLifter,
-    GadgetRemoval,
-    Triplication,
-    from_renumbered,
-)
+from .transform import Contraction, CycleLifter, GadgetRemoval, Triplication
 
 
 def export_graph(g: DirectedGraph | UndirectedGraph) -> str:
@@ -91,9 +85,9 @@ def write_cycle(cycle: list[int]) -> str:
 
 def read_cycle(text: str) -> list[int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("CYCLE"):
+    toks = lines[0].split() if lines else []
+    if not toks or toks[0] != "CYCLE":
         raise ValueError("missing CYCLE header")
-    toks = lines[0].split()
     if len(toks) != 2:
         raise ValueError(f"bad header {lines[0]!r}")
     try:
@@ -135,39 +129,26 @@ def save_journal(lifter: CycleLifter) -> str:
 
 
 def load_journal(text: str) -> CycleLifter:
-    """Inverse of save_journal.  Also reads two older formats, whose
-    'c survivor absorbed attach_survivor attach_absorbed' lines become
-    2-vertex paths and whose 'd u v' edge deletions are dropped.  In the
-    oldest, 'G', 'C' and 'D' lines name the ids of the graph each record
-    was applied to and are converted to base ids.  One journal uses one
-    of the two numberings."""
+    """Inverse of save_journal.  A line of any other kind or shape, such as
+    the pair ('c', 'd') and renumbered ('G', 'C', 'D') records that older
+    versions wrote, raises ValueError."""
     records = []
-    kinds = set()
     for ln in text.splitlines():
         if not ln.strip():
             continue
-        toks = ln.split()
-        kind = toks[0]
+        kind, *toks = ln.split()
         try:
-            args = list(map(int, toks[1:]))
+            args = list(map(int, toks))
         except ValueError:
             raise ValueError(f"bad journal line {ln!r}") from None
         if kind == "T" and len(args) == 1:
             records.append(Triplication(args[0]))
-        elif kind in ("g", "G") and len(args) == 3:
+        elif kind == "g" and len(args) == 3:
             records.append(GadgetRemoval(*args))
         elif kind == "p" and len(args) >= 5:
             records.append(Contraction(args[0], tuple(args[3:]), (args[1], args[2])))
-        elif kind in ("c", "C") and len(args) == 4:
-            s, t, p, q = args
-            records.append(Contraction(s, (s, t), (p, q)))
-        elif kind not in ("d", "D") or len(args) != 2:
+        else:
             raise ValueError(f"bad journal line {ln!r}")
-        kinds.add(kind)
-    if kinds & set("GCD"):
-        if kinds & set("gcdp"):
-            raise ValueError("journal mixes base-id and renumbered records")
-        return CycleLifter(from_renumbered(records))
     return CycleLifter(tuple(records))
 
 

@@ -7,9 +7,9 @@ with an arc or edge, so memory follows those and not n.  The public
 constructors sort their input once and check it: ids in range, no
 self-loops, no duplicate arcs or edges.  A graph that a transform derives
 from an already checked graph, where the transform itself keeps it simple
-and sorted (pruning arcs, the triplication, reduction), is stored as given
-through the private `_derived`.  Instances are treated as immutable;
-transforms return new graphs.
+and sorted (pruning arcs, the triplication, compression, reduction), is
+stored as given through the private `_derived`.  Instances are treated as
+immutable; transforms return new graphs.
 """
 
 from __future__ import annotations

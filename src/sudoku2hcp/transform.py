@@ -3,24 +3,22 @@
 Three transforms are provided: the directed-to-undirected triplication,
 removal of the redundant middle vertex inside every candidate triple, and
 a degree-2 reduction heuristic.  Each leaves its input as it was (the
-reduction shares its neighbour tuples) and returns a new graph together
-with a CycleLifter journal; replaying the journal backwards maps a
-Hamiltonian cycle of the transformed graph to one of the original graph.
-Deleted edges leave no record: a cycle of a subgraph is a cycle of the graph.
+last two work on its own neighbour tuples and renumber what survives the
+same way) and returns a new graph together with a CycleLifter journal;
+replaying the journal backwards maps a Hamiltonian cycle of the
+transformed graph to one of the original graph.  Deleted edges leave no
+record: a cycle of a subgraph is a cycle of the graph.
 
 Record id semantics: every record names vertices by their id in the
 journal's base graph, the graph its first transform was applied to (after
 a triplication, the 3n-vertex undirected graph).  Ids never shift when a
 record deletes a vertex.  The final graph's vertex k is the k-th smallest
 base id that no record deletes, so lifting maps a cycle through that list
-once and replays the records backwards.  Journal files written before this
-numbering (deleting records with renumbered ids) are converted to base ids
-when formats.load_journal reads them.
+once and replays the records backwards.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -143,22 +141,6 @@ def _survivor(gone: list[int], k: int) -> int:
     return k + lo
 
 
-def from_renumbered(records: list[Record]) -> tuple[Record, ...]:
-    """Records in the older numbering, where each record names the ids of
-    the graph it was applied to and a deletion shifts every higher id down
-    by one, rewritten into base ids.  Memory stays proportional to the
-    records, whatever ids they name."""
-    gone: list[int] = []
-    base_id = partial(_survivor, gone)
-    out: list[Record] = []
-    for rec in records:
-        rec = _map_ids(rec, base_id)
-        out.append(rec)
-        for removed in _deleted_ids(rec):
-            insort(gone, removed)
-    return tuple(out)
-
-
 def in_copy(v: int) -> int:
     """Triplication id receiving the arcs into directed vertex v."""
     return 3 * v - 2
@@ -276,15 +258,16 @@ def compress_triples(
             raise ValueError(f"vertex {mv} is not a removable gadget middle")
         if g.has_edge(mv - 1, mv + 1):
             raise ValueError(f"bridge ({mv - 1}, {mv + 1}) already present")
+    # g's own sorted tuples (keys 1..n, as no degree is < 2); a middle's
+    # neighbours swap it for each other, and no id lies between the two
+    adj: list[tuple[int, ...]] = [(), *g._adj.values()]
+    for mv in mids:
+        a, b = mv - 1, mv + 1
+        adj[mv] = ()
+        adj[a] = _swapped(adj[a], mv, b)
+        adj[b] = _swapped(adj[b], mv, a)
     records = tuple(GadgetRemoval(mv, mv - 1, mv + 1) for mv in mids)
-    removed = set(mids)
-    alive = [v for v in range(1, g.n + 1) if v not in removed]
-    new_id = {v: idx for idx, v in enumerate(alive, 1)}
-    edges = [(new_id[a], new_id[b]) for a, b in g.edges() if a in new_id and b in new_id]
-    edges.extend((new_id[mv - 1], new_id[mv + 1]) for mv in mids)
-    out = UndirectedGraph(len(alive), edges)
-    assert out.m == g.m - len(mids)
-    return out, CycleLifter(records)
+    return _renumbered(adj), CycleLifter(records)
 
 
 def reduce_graph(
@@ -381,18 +364,30 @@ def reduce_graph(
             break
         rule2, rule1 = next_rule2, bytearray(n + 1)
 
-    # the count alive up to v is a live v's new id, and monotone, so tuples
-    # stay sorted; the contraction guards never double an edge
+    # the contraction guards never double an edge
+    return _renumbered(adj), CycleLifter(tuple(records))
+
+
+def _renumbered(adj: list[tuple[int, ...]]) -> UndirectedGraph:
+    """The graph on the live vertices of adj, indexed by id with () at 0
+    and at every deleted vertex, renumbered in order.  The count of live
+    vertices up to v is a live v's new id, and monotone, so ascending
+    tuples stay ascending; adj must hold each edge under both its ends."""
     renumber = list(accumulate(map(bool, adj))).__getitem__
     out = dict(enumerate([tuple(map(renumber, t)) for t in filter(None, adj)], 1))
-    m = sum(map(len, out.values())) // 2
-    return UndirectedGraph._derived(alive, m, out), CycleLifter(tuple(records))
+    return UndirectedGraph._derived(len(out), sum(map(len, out.values())) // 2, out)
+
+
+def _swapped(nbrs: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
+    """The tuple nbrs with old swapped for new in its place: still sorted
+    when no id of nbrs lies between the two."""
+    i = nbrs.index(old)
+    return (*nbrs[:i], new, *nbrs[i + 1 :])
 
 
 def _replaced(nbrs: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
     """The sorted tuple nbrs with old swapped for new, still sorted."""
-    i = nbrs.index(old)
-    return tuple(sorted((*nbrs[:i], new, *nbrs[i + 1 :])))
+    return tuple(sorted(_swapped(nbrs, old, new)))
 
 
 def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:

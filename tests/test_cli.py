@@ -6,6 +6,8 @@ from sudoku2hcp import (
     enumerate_solutions,
     format_grid,
     parse_grid,
+    parse_sudoku,
+    prune_fixed,
     undirect,
     witness_cycle,
     write_cycle,
@@ -53,7 +55,8 @@ def test_pipeline_well_formed_puzzle(puzzle_file, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["pipeline", "--no-prune"], ["pipeline", "--compress"],
-     ["pipeline", "--seed", "1"], ["solve", "-o", "c.cyc", "--seed", "1"]],
+     ["pipeline", "--seed", "1"], ["solve", "-o", "c.cyc", "--seed", "1"],
+     ["convert", "-o", "g.dhcp", "--prune"]],
 )
 def test_removed_options_rejected(puzzle_file, capsys, argv):
     path = puzzle_file("p.txt", "2" + "." * 15)
@@ -80,7 +83,7 @@ def test_pipeline_unsat_exit_1(puzzle_file, capsys, tmp_path):
     assert rc == 1
     said = capsys.readouterr().err.splitlines()
     d = str(tmp_path)
-    assert main(["convert", path, "--prune", "-o", f"{d}/g.dhcp"]) == 0
+    assert main(["convert", path, "-o", f"{d}/g.dhcp"]) == 0
     assert main(["undirect", f"{d}/g.dhcp", "-o", f"{d}/g.uhcp",
                  "--journal-out", f"{d}/g.journal"]) == 0
     capsys.readouterr()
@@ -91,18 +94,16 @@ def test_pipeline_unsat_exit_1(puzzle_file, capsys, tmp_path):
     assert said == reduce_said + ["puzzle is unsatisfiable"]
 
 
-def test_pipeline_budget_exit_2(puzzle_file, capsys, monkeypatch):
-    monkeypatch.setenv("SUDOKU2HCP_BUDGET_MS", "1")
+def test_pipeline_budget_exit_2(puzzle_file, capsys):
     path = puzzle_file("blank9.txt", "." * 81)
-    rc = main(["pipeline", path])
+    rc = main(["pipeline", path, "--budget-ms", "1"])
     assert rc == 2
-    monkeypatch.delenv("SUDOKU2HCP_BUDGET_MS")
 
 
 def test_stage_by_stage_matches_pipeline(puzzle_file, capsys, tmp_path):
     path = puzzle_file("p.txt", PUZZLE4)
     d = str(tmp_path)
-    assert main(["convert", path, "--prune", "-o", f"{d}/g.dhcp"]) == 0
+    assert main(["convert", path, "-o", f"{d}/g.dhcp"]) == 0
     assert (
         main(["undirect", f"{d}/g.dhcp", "-o", f"{d}/g.uhcp",
               "--journal-out", f"{d}/g.journal"]) == 0
@@ -124,7 +125,7 @@ def test_stage_chain_with_compress(puzzle_file, capsys, tmp_path):
     # compressed journal's base ids when the two are chained through files
     path = puzzle_file("p.txt", PUZZLE4)
     d = str(tmp_path)
-    assert main(["convert", path, "--prune", "-o", f"{d}/g.dhcp"]) == 0
+    assert main(["convert", path, "-o", f"{d}/g.dhcp"]) == 0
     assert main(["undirect", f"{d}/g.dhcp", "-o", f"{d}/g.uhcp",
                  "--journal-out", f"{d}/g.journal"]) == 0
     assert main(["compress", f"{d}/g.uhcp", "-o", f"{d}/c.uhcp",
@@ -155,6 +156,27 @@ def test_compress_stage(puzzle_file, capsys, tmp_path):
     assert main(["stats", f"{d}/c.uhcp"]) == 0
     out = capsys.readouterr().out
     assert "vertices: 1294" in out
+
+
+def test_convert_prunes_for_the_clues(puzzle_file, capsys, tmp_path):
+    # a chain of stage commands must solve the puzzle given, not the blank grid
+    d = str(tmp_path)
+    path = puzzle_file("p.txt", PUZZLE4)
+    assert main(["convert", path, "-o", f"{d}/g.dhcp"]) == 0
+    pruned, removed = prune_fixed(build_hcp(4), parse_sudoku(PUZZLE4))
+    assert removed > 0
+    assert open(f"{d}/g.dhcp").read() == export_graph(pruned)
+    said = capsys.readouterr().out
+    assert said == f"wrote {d}/g.dhcp: {pruned.n} vertices, {pruned.m} arcs, {removed} pruned\n"
+
+
+def test_recover_rejects_a_retired_journal(puzzle_file, capsys):
+    cf = puzzle_file("c.cycle", "CYCLE 3\n1\n2\n3\n")
+    jf = puzzle_file("g.journal", "G 1 2 3\n")
+    assert main(["recover", cf, "--journal", jf]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad journal line 'G 1 2 3'\n"
+    assert captured.out == ""
 
 
 def test_verify_grid(puzzle_file, capsys):

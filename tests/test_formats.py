@@ -1,5 +1,4 @@
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,21 +9,17 @@ from sudoku2hcp import (
     SudokuInstance,
     UndirectedGraph,
     build_hcp,
-    enumerate_solutions,
     export_graph,
     export_tsplib_hcp,
     format_stats,
     graph_stats,
     import_graph,
     load_journal,
-    parse_sudoku,
     prune_fixed,
     read_cycle,
-    recover_solution,
     reduce_graph,
     save_journal,
     undirect,
-    verify_cycle,
     write_cycle,
 )
 from _support import peak_bytes, random_undirected
@@ -120,6 +115,11 @@ class TestCycleFormat:
         with pytest.raises(ValueError, match="repeated"):
             read_cycle("CYCLE 3\n1\n2\n2\n")
 
+    @pytest.mark.parametrize("head", ["CYCLEX 3", "CYCLE3", "cycle 3", "XCYCLE 3"])
+    def test_header_word_must_be_cycle(self, head):
+        with pytest.raises(ValueError, match="^missing CYCLE header$"):
+            read_cycle(f"{head}\n1\n2\n3\n")
+
 
 class TestJournalFormat:
     def test_round_trip(self):
@@ -136,51 +136,13 @@ class TestJournalFormat:
         assert text.startswith("T 474\n")
         assert {ln[0] for ln in text.splitlines()[1:]} == {"p"}
 
-    def test_older_format_lifts_to_the_same_cycle(self):
-        # a triplication, compress and reduce journal written with the
-        # older renumbered G/C/D records, the cycle the solver found on the
-        # reduced graph, and the directed cycle that journal lifted it to
-        data = Path(__file__).parent / "data"
-        text = (data / "legacy_compress_reduce.journal").read_text()
-        cycle = read_cycle((data / "legacy_compress_reduce.cycle").read_text())
-        lifted = read_cycle((data / "legacy_compress_reduce.lifted").read_text())
-        lifter = load_journal(text)
-        assert lifter.lift(cycle) == lifted
-        assert load_journal(save_journal(lifter)) == lifter
-        inst = parse_sudoku("1...2..3......2.")
-        pruned, _ = prune_fixed(build_hcp(4), inst)
-        assert verify_cycle(pruned, lifted)
-        assert [recover_solution(lifted, 4)] == enumerate_solutions(inst, 2)
-
-    def test_pair_record_format_lifts_to_the_same_cycle(self):
-        # a triplication and reduce journal written with one 'c' line per
-        # contracted pair and one 'd' line per deleted edge, the cycle the
-        # solver found on the reduced graph, and the directed cycle that
-        # journal lifted it to
-        data = Path(__file__).parent / "data"
-        text = (data / "pair_records_reduce.journal").read_text()
-        cycle = read_cycle((data / "pair_records_reduce.cycle").read_text())
-        lifted = read_cycle((data / "pair_records_reduce.lifted").read_text())
-        lines = text.splitlines()
-        lifter = load_journal(text)
-        # the 'd' lines are dropped, each 'c' line is a 2-vertex path
-        assert len(lifter.records) == len(lines) - sum(ln[0] == "d" for ln in lines)
-        assert {ln[0] for ln in lines} == set("Tcd")
-        assert all(len(r.path) == 2 for r in lifter.records[1:])
-        assert lifter.lift(cycle) == lifted
-        assert load_journal(save_journal(lifter)) == lifter
-        inst = parse_sudoku("1...2..3......2.")
-        pruned, _ = prune_fixed(build_hcp(4), inst)
-        assert verify_cycle(pruned, lifted)
-        assert [recover_solution(lifted, 4)] == enumerate_solutions(inst, 2)
-
-    def test_mixed_formats_rejected(self):
-        with pytest.raises(ValueError, match="mixes"):
-            load_journal("T 2\nG 3 2 4\ng 3 2 4\n")
-
-    def test_path_and_renumbered_lines_rejected(self):
-        with pytest.raises(ValueError, match="mixes"):
-            load_journal("T 2\np 2 1 4 2 3\nC 2 3 1 4\n")
+    @pytest.mark.parametrize(
+        "line", ["c 1 2 3 4", "C 1 2 3 4", "d 1 2", "D 1 2", "G 1 2 3"]
+    )
+    def test_retired_line_kinds_rejected(self, line):
+        # the pair and renumbered records older versions wrote
+        with pytest.raises(ValueError, match=f"^bad journal line '{line}'$"):
+            load_journal(f"T 2\n{line}\n")
 
     @pytest.mark.parametrize(
         "text,cycle,match",

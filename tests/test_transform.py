@@ -25,8 +25,8 @@ from sudoku2hcp import (
     witness_cycle,
 )
 from sudoku2hcp.formats import save_journal
-from sudoku2hcp.labels import vertex_count
-from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication
+from sudoku2hcp.labels import label_cand, label_dup, vertex_count
+from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication, mid_copy
 from _support import (
     PUZZLE_35,
     EdgeDeletion,
@@ -211,6 +211,67 @@ class TestCompress:
         g = UndirectedGraph(n, [(v, (v + 1) % n + 1) for v in range(1, n + 1)])
         with pytest.raises(ValueError, match="is not a removable gadget middle"):
             compress_triples(g, 4)
+
+
+def gadget_middles(order: int) -> list[int]:
+    """The 2N^3 removable middles, in the descending order compress visits."""
+    r = range(1, order + 1)
+    slot2 = [f(i, j, k, 2, order) for i in r for j in r for k in r for f in (label_cand, label_dup)]
+    return sorted(map(mid_copy, slot2), reverse=True)
+
+
+def compress_by_edge_list(g: UndirectedGraph, order: int):
+    """compress_triples as it was before it worked on g's own tuples: the
+    same records, and the graph from the public, checking constructor
+    over the renumbered edge list with the bridges added."""
+    mids = gadget_middles(order)
+    gone = set(mids)
+    alive = [v for v in range(1, g.n + 1) if v not in gone]
+    new_id = {v: idx for idx, v in enumerate(alive, 1)}
+    edges = [(new_id[a], new_id[b]) for a, b in g.edges() if a in new_id and b in new_id]
+    edges.extend((new_id[mv - 1], new_id[mv + 1]) for mv in mids)
+    records = tuple(GadgetRemoval(mv, mv - 1, mv + 1) for mv in mids)
+    return UndirectedGraph(len(alive), edges), records
+
+
+def assert_compress_matches_edge_list(g: UndirectedGraph, order: int):
+    """compress_triples(g, order) stored tuple for tuple as the edge-list
+    rebuild's graph, with the same journal text, and g stored as it was."""
+    n, m, keys, adj = storage(g)
+    before = (n, m, keys, dict(adj))
+    out, lifter = compress_triples(g, order)
+    assert storage(g) == before
+    want, records = compress_by_edge_list(g, order)
+    assert storage(out) == storage(want)
+    assert save_journal(lifter) == save_journal(CycleLifter(records))
+
+
+class TestCompressMatchesEdgeList:
+    """compress_triples against the edge-list rebuild it replaced."""
+
+    @pytest.mark.parametrize("order", [4, 9])
+    def test_blank(self, order):
+        assert_compress_matches_edge_list(undirect(build_hcp(order))[0], order)
+
+    def test_order4_thinnings(self):
+        rng = random.Random(404)
+        for _ in range(30):
+            assert_compress_matches_edge_list(thinned_order4_graph(rng), 4)
+
+    def test_puzzle_35(self):
+        pruned, _ = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))
+        assert_compress_matches_edge_list(undirect(pruned)[0], 9)
+
+    def test_checks_run_from_the_largest_middle(self):
+        # the bridge at one middle and an extra edge at the other: the
+        # error names the larger of the two, whichever fault it has
+        ug, _ = undirect(build_hcp(4))
+        hi, lo = gadget_middles(4)[:2]
+        faults = [(lo, hi, f"^vertex {hi} is not"), (hi, lo, f"^bridge \\({hi - 1}, ")]
+        for bridged, extra, match in faults:
+            edges = [*ug.edges(), (bridged - 1, bridged + 1), (extra, 1)]
+            with pytest.raises(ValueError, match=match):
+                compress_triples(UndirectedGraph(ug.n, edges), 4)
 
 
 def cycle_graph(n):
