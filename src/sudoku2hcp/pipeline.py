@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .construct import build_hcp, prune_fixed, recover_solution
+from .construct import build_hcp, recover_solution, redundant_arcs
 from .graphs import DirectedGraph, UndirectedGraph
 from .solve import SolveBudget, SolveOutcome, solve_hcp, verify_cycle
 from .sudoku import Grid, SudokuInstance, validate_grid
-from .transform import CycleLifter, Infeasible, reduce_graph, undirect
+from .transform import (
+    CycleLifter,
+    Infeasible,
+    in_copy,
+    out_copy,
+    reduce_graph,
+    undirect,
+)
 
 
 @dataclass
@@ -32,7 +40,10 @@ class PipelineConfig:
 @dataclass
 class PipelineResult:
     """status is 'solved', 'unsat' or 'budget'.  reason is the
-    Infeasible reason when reduction decided 'unsat' without a search."""
+    Infeasible reason when reduction decided 'unsat' without a search.
+    For a blank instance, directed and final_graph may be the graphs
+    solve_instance keeps for its order, shared with later results; graphs
+    are immutable (see graphs.py), so they are not to be changed."""
 
     status: str
     grid: Grid | None
@@ -45,17 +56,33 @@ class PipelineResult:
     reason: str | None = None
 
 
+@lru_cache(maxsize=1)
+def _blank_encoding(
+    order: int,
+) -> tuple[DirectedGraph, UndirectedGraph, CycleLifter]:
+    """The blank order-N encoding, its triplication and that journal."""
+    directed = build_hcp(order)
+    return (directed, *undirect(directed))
+
+
 def solve_instance(
     instance: SudokuInstance, config: PipelineConfig | None = None
 ) -> PipelineResult:
     """Run the full pipeline on a parsed instance.
 
-    Build the directed encoding, prune for the clues, convert to undirected,
-    optionally reduce, search for a cycle, lift it back to the directed
-    graph and decode the grid.  The decoded grid is checked against the
-    encoding graph and the instance before it is returned.  Raises
-    ValueError, before building anything, when config.prune is False and
-    the instance has clues.
+    Take the directed encoding with the clues' redundant arcs pruned and
+    its undirected triplication, optionally reduce, search for a cycle,
+    lift it back to the directed graph and decode the grid.  The decoded
+    grid is checked against the encoding graph and the instance before it
+    is returned.  Raises ValueError, before building anything, when
+    config.prune is False and the instance has clues.
+
+    The blank encoding and its triplication depend only on the order, so
+    the last order's pair is kept, and a clued instance's graphs are
+    derived from it by deletion: each pruned arc (u, v) is the edge
+    (out-copy u, in-copy v) of the triplication.  The result equals
+    undirect(prune_fixed(build_hcp(n), instance)).  For a blank instance
+    the cached graphs are returned as they are.
     """
     if config is None:
         config = PipelineConfig()
@@ -64,12 +91,17 @@ def solve_instance(
             "clues reach the graph only by pruning: prune=False needs a blank instance"
         )
     n = instance.order
-    directed = build_hcp(n)
+    blank, graph, lifter = _blank_encoding(n)
+    directed = blank
     pruned_arcs = 0
     if instance.clues:
-        directed, pruned_arcs = prune_fixed(directed, instance)
+        # clue order, duplicates and all: both deletions take an arc given
+        # twice once, and a hashed set's order made them slower at order 16
+        removed = list(redundant_arcs(instance))
+        directed = blank.without_arcs(removed)
+        pruned_arcs = blank.m - directed.m
+        graph = graph.without_edges((out_copy(u), in_copy(v)) for u, v in removed)
 
-    graph, lifter = undirect(directed)
     if config.reduce:
         reduced = reduce_graph(graph)
         if isinstance(reduced, Infeasible):

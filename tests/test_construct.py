@@ -19,6 +19,7 @@ from sudoku2hcp import (
     vertex_count,
     witness_cycle,
 )
+from sudoku2hcp import construct
 from sudoku2hcp import labels as L
 from _support import all_order4_solutions
 
@@ -130,6 +131,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_hcp(5)
 
+    def test_arc_count_checked_without_assert(self, monkeypatch):
+        # an explicit check, which python -O keeps
+        monkeypatch.setattr(construct, "arc_count", lambda n: 0)
+        with pytest.raises(RuntimeError, match="internal error: built 1258 arcs, expected 0"):
+            build_hcp(4)
+
 
 class TestPrune:
     def test_single_clue_removes_96(self):
@@ -215,6 +222,12 @@ class TestWitness:
             inst = SudokuInstance(4, {c: sol.value(*c) for c in cells[:6]})
             pruned, _ = prune_fixed(g, inst)
             assert verify_cycle(pruned, witness_cycle(inst, sol))
+
+    def test_length_checked_without_assert(self, monkeypatch):
+        sol = all_order4_solutions()[0]
+        monkeypatch.setattr(construct, "vertex_count", lambda n: 0)
+        with pytest.raises(RuntimeError, match="internal error: witness has 474 vertices"):
+            witness_cycle(blank_instance(4), sol)
 
     def test_invalid_solution_rejected(self):
         from sudoku2hcp import Grid

@@ -1,14 +1,31 @@
+import random
+
 import pytest
 
 from sudoku2hcp import (
     Grid,
     PipelineConfig,
+    SolveBudget,
+    SudokuInstance,
     blank_instance,
+    build_hcp,
+    enumerate_solutions,
+    export_graph,
+    parse_grid,
     parse_sudoku,
+    prune_fixed,
     solve_instance,
+    undirect,
     validate_grid,
 )
 from sudoku2hcp import pipeline
+from _support import (
+    PUZZLE_35,
+    SOLUTION_35,
+    all_order4_solutions,
+    random_consistent_instance,
+    storage,
+)
 
 
 def test_prune_off_rejects_clues(monkeypatch):
@@ -35,3 +52,84 @@ def test_grid_validated_with_prune_off(monkeypatch):
     monkeypatch.setattr(pipeline, "recover_solution", lambda cycle, n: bad)
     with pytest.raises(RuntimeError, match="violates"):
         solve_instance(blank_instance(4), PipelineConfig(prune=False))
+
+
+def _thinning(grid: Grid, count: int, rng: random.Random) -> SudokuInstance:
+    """count cells of a solved grid, drawn at random, as clues."""
+    n = grid.order
+    cells = rng.sample([(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], count)
+    return SudokuInstance(n, {(i, j): grid.value(i, j) for i, j in cells})
+
+
+class TestDerivedEncoding:
+    """solve_instance derives each clued puzzle's graphs from the cached
+    blank encoding by deletion; they must be stored exactly as the stage
+    chain build -> prune -> undirect stores them."""
+
+    def test_matches_the_stage_chain(self):
+        rng = random.Random(1111)
+        sols = all_order4_solutions()
+        instances = [blank_instance(4), parse_sudoku(PUZZLE_35)]
+        instances += [_thinning(rng.choice(sols), rng.randint(1, 16), rng) for _ in range(20)]
+        solution = parse_grid(SOLUTION_35)
+        instances += [_thinning(solution, count, rng) for count in (17, 30, 60)]
+        instances.append(blank_instance(4))  # back to order 4 after order 9
+        # no reduction and a one-node budget: final_graph is the graph that
+        # entered the search, the derived triplication itself
+        config = PipelineConfig(reduce=False, budget=SolveBudget(max_nodes=1))
+        for inst in instances:
+            res = solve_instance(inst, config)
+            directed, pruned = prune_fixed(build_hcp(inst.order), inst)
+            graph, lifter = undirect(directed)
+            assert res.pruned_arcs == pruned
+            assert export_graph(res.directed) == export_graph(directed)
+            assert storage(res.directed) == storage(directed)
+            assert export_graph(res.final_graph) == export_graph(graph)
+            assert storage(res.final_graph) == storage(graph)
+            assert res.lifter == lifter
+
+    def test_cached_graphs_stay_unchanged(self):
+        want_directed = storage(build_hcp(4))
+        want_graph = storage(undirect(build_hcp(4))[0])
+        blank = solve_instance(blank_instance(4))
+        cached = pipeline._blank_encoding(4)
+        directed, graph, lifter = cached
+        assert blank.directed is directed
+        rng = random.Random(2222)
+        sols = all_order4_solutions()
+        for _ in range(10):
+            res = solve_instance(_thinning(rng.choice(sols), rng.randint(1, 6), rng))
+            assert res.status == "solved"
+            assert res.directed is not directed
+        assert pipeline._blank_encoding(4) is cached
+        assert storage(directed) == want_directed
+        assert storage(graph) == want_graph
+        assert lifter == undirect(build_hcp(4))[1]
+
+
+def test_differential_against_enumeration():
+    # random consistent 4x4 clue sets, some of them unsolvable, with a
+    # blank 4x4 and a 9x9 puzzle between them so that the kept blank
+    # encoding changes order in the middle of the run
+    rng = random.Random(3333)
+    instances = [random_consistent_instance(rng, 4, 10) for _ in range(60)]
+    instances += [blank_instance(4), parse_sudoku(PUZZLE_35)]
+    instances += [random_consistent_instance(rng, 4, 10) for _ in range(60)]
+    pipeline._blank_encoding.cache_clear()
+    seen = {"solved": 0, "unsat by reduce": 0, "unsat by search": 0}
+    for inst in instances:
+        res = solve_instance(inst)
+        oracle = enumerate_solutions(inst, 1)
+        if res.status == "solved":
+            assert oracle
+            assert validate_grid(inst, res.grid) == []
+            seen["solved"] += 1
+        else:
+            assert res.status == "unsat"
+            assert oracle == []
+            seen["unsat by reduce" if res.outcome is None else "unsat by search"] += 1
+    # order 4, then 9 for PUZZLE_35, then 4 again
+    assert pipeline._blank_encoding.cache_info().misses == 3
+    # the seed gives 110 solved, 8 refuted by reduce and 4 by the search
+    assert seen["solved"] >= 90, seen
+    assert seen["unsat by reduce"] >= 3 and seen["unsat by search"] >= 3, seen
