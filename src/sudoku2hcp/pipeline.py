@@ -3,20 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .construct import build_hcp, recover_solution, redundant_arcs
+from .construct import build_hcp, prune_fixed, recover_solution, redundant_arcs
 from .graphs import DirectedGraph, UndirectedGraph
 from .solve import SolveBudget, SolveOutcome, solve_hcp, verify_cycle
 from .sudoku import Grid, SudokuInstance, validate_grid
-from .transform import (
-    CycleLifter,
-    Infeasible,
-    in_copy,
-    out_copy,
-    reduce_graph,
-    undirect,
-)
+from .transform import CycleLifter, Infeasible, reduce_graph, undirect, undirect_without
 
 
 @dataclass
@@ -56,13 +49,28 @@ class PipelineResult:
     reason: str | None = None
 
 
+class _BlankEncoding:
+    """The blank encoding of one order, kept for the next puzzle of it.
+
+    Its triplication is made for the first blank puzzle or the second
+    puzzle of the order, whichever comes first.  Until then a clued puzzle
+    is pruned and triplicated as the stage chain does it, so a lone puzzle
+    costs what it cost without the cache: triplicating the blank encoding
+    for one puzzle and deleting from it costs more than triplicating the
+    pruned graph."""
+
+    def __init__(self, order: int):
+        self.directed = build_hcp(order)
+        self.seen = False
+
+    @cached_property
+    def triplication(self) -> tuple[UndirectedGraph, CycleLifter]:
+        return undirect(self.directed)
+
+
 @lru_cache(maxsize=1)
-def _blank_encoding(
-    order: int,
-) -> tuple[DirectedGraph, UndirectedGraph, CycleLifter]:
-    """The blank order-N encoding, its triplication and that journal."""
-    directed = build_hcp(order)
-    return (directed, *undirect(directed))
+def _blank_encoding(order: int) -> _BlankEncoding:
+    return _BlankEncoding(order)
 
 
 def solve_instance(
@@ -78,11 +86,11 @@ def solve_instance(
     config.prune is False and the instance has clues.
 
     The blank encoding and its triplication depend only on the order, so
-    the last order's pair is kept, and a clued instance's graphs are
-    derived from it by deletion: each pruned arc (u, v) is the edge
-    (out-copy u, in-copy v) of the triplication.  The result equals
+    the last order's are kept (see _BlankEncoding), and a later clued
+    instance of that order derives its graphs from them by deletion
+    (without_arcs, undirect_without).  The graphs equal those of
     undirect(prune_fixed(build_hcp(n), instance)).  For a blank instance
-    the cached graphs are returned as they are.
+    the kept graphs are returned as they are.
     """
     if config is None:
         config = PipelineConfig()
@@ -91,16 +99,22 @@ def solve_instance(
             "clues reach the graph only by pruning: prune=False needs a blank instance"
         )
     n = instance.order
-    blank, graph, lifter = _blank_encoding(n)
-    directed = blank
-    pruned_arcs = 0
-    if instance.clues:
+    blank = _blank_encoding(n)
+    directed, pruned_arcs = blank.directed, 0
+    if not instance.clues:
+        graph, lifter = blank.triplication
+    elif not blank.seen:
+        directed, pruned_arcs = prune_fixed(directed, instance)
+        graph, lifter = undirect(directed)
+    else:
         # clue order, duplicates and all: both deletions take an arc given
         # twice once, and a hashed set's order made them slower at order 16
         removed = list(redundant_arcs(instance))
-        directed = blank.without_arcs(removed)
-        pruned_arcs = blank.m - directed.m
-        graph = graph.without_edges((out_copy(u), in_copy(v)) for u, v in removed)
+        directed = directed.without_arcs(removed)
+        pruned_arcs = blank.directed.m - directed.m
+        graph, lifter = blank.triplication
+        graph = undirect_without(graph, removed)
+    blank.seen = True
 
     if config.reduce:
         reduced = reduce_graph(graph)

@@ -19,6 +19,7 @@ from sudoku2hcp import (
     validate_grid,
 )
 from sudoku2hcp import pipeline
+from sudoku2hcp.transform import undirect_without
 from _support import (
     PUZZLE_35,
     SOLUTION_35,
@@ -62,11 +63,19 @@ def _thinning(grid: Grid, count: int, rng: random.Random) -> SudokuInstance:
 
 
 class TestDerivedEncoding:
-    """solve_instance derives each clued puzzle's graphs from the cached
-    blank encoding by deletion; they must be stored exactly as the stage
-    chain build -> prune -> undirect stores them."""
+    """solve_instance derives a clued puzzle's graphs from the cached blank
+    encoding by deletion, unless it is the first puzzle of its order; either
+    way they must be stored exactly as the stage chain build -> prune ->
+    undirect stores them."""
 
-    def test_matches_the_stage_chain(self):
+    def test_matches_the_stage_chain(self, monkeypatch):
+        derived = []
+        monkeypatch.setattr(
+            pipeline,
+            "undirect_without",
+            lambda g, arcs: derived.append(inst) or undirect_without(g, arcs),
+        )
+        pipeline._blank_encoding.cache_clear()
         rng = random.Random(1111)
         sols = all_order4_solutions()
         instances = [blank_instance(4), parse_sudoku(PUZZLE_35)]
@@ -87,13 +96,28 @@ class TestDerivedEncoding:
             assert export_graph(res.final_graph) == export_graph(graph)
             assert storage(res.final_graph) == storage(graph)
             assert res.lifter == lifter
+        # every clued puzzle but the first of its order's run is derived:
+        # PUZZLE_35, the first 4x4 thinning and the first 9x9 one are not
+        assert derived == instances[3:22] + instances[23:25]
+
+    def test_lone_puzzle_is_not_derived(self, monkeypatch):
+        # the first puzzle of an order triplicates its own pruned graph,
+        # as the stage chain does, and not the blank encoding
+        made = []
+        monkeypatch.setattr(pipeline, "undirect", lambda g: made.append(g.m) or undirect(g))
+        monkeypatch.setattr(pipeline, "undirect_without", None)
+        pipeline._blank_encoding.cache_clear()
+        res = solve_instance(parse_sudoku(PUZZLE_35))
+        assert res.status == "solved"
+        assert made == [res.directed.m] and res.pruned_arcs > 0
 
     def test_cached_graphs_stay_unchanged(self):
         want_directed = storage(build_hcp(4))
         want_graph = storage(undirect(build_hcp(4))[0])
         blank = solve_instance(blank_instance(4))
         cached = pipeline._blank_encoding(4)
-        directed, graph, lifter = cached
+        directed = cached.directed
+        graph, lifter = cached.triplication
         assert blank.directed is directed
         rng = random.Random(2222)
         sols = all_order4_solutions()
