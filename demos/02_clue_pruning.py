@@ -26,7 +26,7 @@ line = ("060050710023079568070160004210000090050090400"
         "800600053031842070700000000000500306")
 from sudoku2hcp import parse_sudoku
 
-inst = parse_sudoku(line, "line")
+inst = parse_sudoku(line)
 pruned, removed_35 = prune_fixed(g, inst)
 print(f"35 clues: removed {removed_35} arcs "
       f"({removed_35 / 35:.1f} per clue on average), "

@@ -19,14 +19,14 @@ from sudoku2hcp import (
 
 line = ("060050710023079568070160004210000090050090400"
         "800600053031842070700000000000500306")
-inst = parse_sudoku(line, "line")
+inst = parse_sudoku(line)
 
 g = build_hcp(9)
 pruned, removed = prune_fixed(g, inst)
 ug, _ = undirect(pruned)
 print(f"pruned 35-clue instance, undirected: {ug.n} vertices, {ug.m} edges")
 
-cg, _ = compress_triples(ug, 9)
+cg, _ = compress_triples(ug)
 print(f"after triple compression:           {cg.n} vertices, {cg.m} edges")
 
 reduced, _ = reduce_graph(ug)

@@ -20,7 +20,7 @@ from sudoku2hcp import (
 
 line = ("060050710023079568070160004210000090050090400"
         "800600053031842070700000000000500306")
-inst = parse_sudoku(line, "line")
+inst = parse_sudoku(line)
 print(f"puzzle: 9x9 with {inst.clue_count} clues")
 
 t0 = time.monotonic()

@@ -26,7 +26,7 @@ from sudoku2hcp import (
 
 line = ("060050710023079568070160004210000090050090400"
         "800600053031842070700000000000500306")
-inst = parse_sudoku(line, "line")
+inst = parse_sudoku(line)
 
 g, _ = prune_fixed(build_hcp(9), inst)
 ug, lifter = undirect(g)

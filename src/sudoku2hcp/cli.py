@@ -23,7 +23,7 @@ from .formats import (
     write_cycle,
 )
 from .graphs import DirectedGraph, UndirectedGraph
-from .labels import order_for_vertex_count, vertex_count
+from .labels import order_for_vertex_count
 from .pipeline import PipelineConfig, solve_instance
 from .solve import SolveBudget, format_stats_line, solve_hcp, verify_cycle
 from .sudoku import format_grid, parse_grid, parse_sudoku, validate_grid
@@ -60,7 +60,7 @@ def _load_undirected(path: str) -> UndirectedGraph:
 
 def _cmd_convert(args) -> int:
     # always pruned for the clues: the blank encoding would drop them
-    instance = parse_sudoku(_read(args.puzzle), args.format)
+    instance = parse_sudoku(_read(args.puzzle))
     g, removed = prune_fixed(build_hcp(instance.order), instance)
     _write(args.out, export_graph(g))
     print(f"wrote {args.out}: {g.n} vertices, {g.m} arcs, {removed} pruned")
@@ -90,8 +90,7 @@ def _chain_journal(args) -> CycleLifter:
 
 def _cmd_compress(args) -> int:
     g = _load_undirected(args.graph)
-    order = args.order if args.order else order_for_vertex_count(g.n // 3)
-    out, step = compress_triples(g, order)
+    out, step = compress_triples(g)
     _write(args.out, export_graph(out))
     _write(args.journal_out, save_journal(_chain_journal(args) + step))
     print(f"wrote {args.out}: {out.n} vertices, {out.m} edges")
@@ -142,20 +141,15 @@ def _cmd_recover(args) -> int:
     if args.journal:
         lifter = load_journal(_read(args.journal))
         cycle = lifter.lift(cycle)
-    order = args.order if args.order else order_for_vertex_count(len(cycle))
-    if len(cycle) != vertex_count(order):
-        raise ValueError(
-            f"cycle length {len(cycle)} does not match order {order}"
-        )
-    grid = recover_solution(cycle, order)
+    grid = recover_solution(cycle, order_for_vertex_count(len(cycle)))
     sys.stdout.write(format_grid(grid))
     return OK
 
 
 def _cmd_verify(args) -> int:
     if args.puzzle and args.grid:
-        instance = parse_sudoku(_read(args.puzzle), args.format)
-        grid = parse_grid(_read(args.grid), args.format)
+        instance = parse_sudoku(_read(args.puzzle))
+        grid = parse_grid(_read(args.grid))
         violations = validate_grid(instance, grid)
         if violations:
             for v in violations:
@@ -182,7 +176,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    instance = parse_sudoku(_read(args.puzzle), args.format)
+    instance = parse_sudoku(_read(args.puzzle))
     config = PipelineConfig(reduce=not args.no_reduce, budget=_budget(args))
     result = solve_instance(instance, config)
     if args.stats and result.outcome is not None:
@@ -207,9 +201,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def puzzle_opts(sp):
-        sp.add_argument("--format", choices=("auto", "grid", "line"), default="auto")
-
     def budget_opts(sp):
         sp.add_argument("--budget-nodes", type=int, default=None)
         sp.add_argument("--budget-ms", type=int, default=None)
@@ -218,7 +209,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("convert", help="puzzle to directed graph file, pruned for its clues")
     sp.add_argument("puzzle")
     sp.add_argument("-o", "--out", required=True)
-    puzzle_opts(sp)
     sp.set_defaults(func=_cmd_convert)
 
     sp = sub.add_parser("undirect", help="directed graph to undirected")
@@ -232,7 +222,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--out", required=True)
     sp.add_argument("--journal", default=None)
     sp.add_argument("--journal-out", required=True)
-    sp.add_argument("--order", type=int, default=None)
     sp.set_defaults(func=_cmd_compress)
 
     sp = sub.add_parser("reduce", help="degree-2 reduction heuristic")
@@ -257,7 +246,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("recover", help="cycle file plus journal to grid")
     sp.add_argument("cycle")
     sp.add_argument("--journal", default=None)
-    sp.add_argument("--order", type=int, default=None)
     sp.set_defaults(func=_cmd_recover)
 
     sp = sub.add_parser("verify", help="check a grid or a cycle")
@@ -265,7 +253,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default=None)
     sp.add_argument("--graph", default=None)
     sp.add_argument("--cycle", default=None)
-    puzzle_opts(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("stats", help="degree statistics of a graph file")
@@ -275,7 +262,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pipeline", help="puzzle to solved grid in one run")
     sp.add_argument("puzzle")
     sp.add_argument("--no-reduce", action="store_true")
-    puzzle_opts(sp)
     budget_opts(sp)
     sp.set_defaults(func=_cmd_pipeline)
 

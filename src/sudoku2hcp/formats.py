@@ -54,8 +54,11 @@ def export_tsplib_hcp(g: UndirectedGraph, name: str) -> str:
     """TSPLIB HCP stanza with an EDGE_LIST section, for external solvers.
 
     The '-1' terminator is written with a trailing newline; some TSPLIB
-    readers are picky about this, ours includes it.
+    readers are picky about this, ours includes it.  The name must be a
+    non-empty printable line, so that it cannot add header lines.
     """
+    if not name or not name.isprintable():
+        raise ValueError(f"TSPLIB name must be non-empty and printable, got {name!r}")
     lines = [
         f"NAME: {name}",
         "TYPE: HCP",

@@ -98,16 +98,24 @@ def arc_count(order: int) -> int:
 
 
 def order_for_vertex_count(n_vertices: int) -> int:
-    """Invert vertex_count; raises if no perfect-square order matches."""
-    box = 2
-    while True:
-        order = box * box
-        v = vertex_count(order)
-        if v == n_vertices:
-            return order
-        if v > n_vertices:
-            raise ValueError(f"{n_vertices} is not a vertex count of any order")
-        box += 1
+    """Invert vertex_count; raises if no perfect-square order matches.
+
+    vertex_count grows strictly with the box size, so the box is found by
+    doubling and then bisection: a vertex count read from a file header
+    costs steps in proportion to its digits, not to its sixth root.
+    """
+    lo, hi = 2, 2
+    while vertex_count(hi * hi) < n_vertices:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if vertex_count(mid * mid) < n_vertices:
+            lo = mid + 1
+        else:
+            hi = mid
+    if vertex_count(lo * lo) != n_vertices:
+        raise ValueError(f"{n_vertices} is not a vertex count of any order")
+    return lo * lo
 
 
 # Label arithmetic.  These run in the hot construction loops, so they take

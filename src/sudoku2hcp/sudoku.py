@@ -5,6 +5,8 @@ graph pipeline."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -113,68 +115,68 @@ def blank_instance(order: int) -> SudokuInstance:
     return SudokuInstance(order, {})
 
 
-def parse_sudoku(text: str, fmt: str = "auto") -> SudokuInstance:
-    """Parse a puzzle from grid or line format.
+@lru_cache(maxsize=4)
+def _cells(order: int) -> tuple[Cell, ...]:
+    """The cells of an order-`order` grid, row-major."""
+    r = range(1, order + 1)
+    return tuple((i, j) for i in r for j in r)
+
+
+_LINE_LENGTHS = {16: 4, 81: 9}
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _is_number(text: str) -> bool:
+    """Whether text is one or more ASCII digits; str.isdigit alone also
+    takes the other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
+def _read_cells(text: str) -> tuple[int, list[int]]:
+    """The order of a puzzle or grid text and its cell values, row-major,
+    0 for a blank cell; parse_sudoku describes the two formats.  A value
+    above the order is left to the SudokuInstance or Grid it goes into."""
+    tokens = text.split()
+    if len(tokens) > 1:
+        head, cells = tokens[0], tokens[1:]
+        if not _is_number(head):
+            raise ValueError(f"expected order as first token, got {head!r}")
+        n = int(head)
+        _check_order(n)
+        if len(cells) != n * n:
+            raise ValueError(f"expected {n * n} cell tokens, got {len(cells)}")
+        digits = "".join(cells)
+        if not _is_number(digits):
+            bad = next(tok for tok in cells if not _is_number(tok))
+            raise ValueError(f"bad cell token {bad!r}")
+    else:
+        line = text.strip()
+        if len(line) not in _LINE_LENGTHS:
+            raise ValueError(f"line format must be 16 or 81 characters, got {len(line)}")
+        n = _LINE_LENGTHS[len(line)]
+        cells = digits = line.replace(".", "0")
+        if not _is_number(digits):
+            idx = next(idx for idx, ch in enumerate(digits) if not _is_number(ch))
+            raise ValueError(f"bad character {line[idx]!r} at position {idx}")
+    if len(digits) == len(cells):
+        # every cell one digit, as in every line and most grids: one call
+        values = list(digits.encode().translate(_DIGIT_VALUES))
+    else:
+        values = list(map(int, cells))
+    return n, values
+
+
+def parse_sudoku(text: str) -> SudokuInstance:
+    """Parse a puzzle from grid or line format, whichever the text is in.
 
     Grid format: first token is the order N, then N rows of N whitespace
     separated integers with 0 meaning blank.  Line format: N*N characters,
     '0' or '.' meaning blank, N inferred from the length (81 -> 9, 16 -> 4).
-    With fmt='auto' the presence of interior whitespace selects grid format.
+    A text of more than one whitespace-separated token is in grid format.
+    Digits are the ASCII '0'-'9' only.
     """
-    if fmt not in ("auto", "grid", "line"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "auto":
-        fmt = "grid" if len(text.split()) > 1 else "line"
-    if fmt == "grid":
-        return _parse_grid_format(text)
-    return _parse_line_format(text)
-
-
-def _parse_grid_format(text: str) -> SudokuInstance:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty puzzle text")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise ValueError(f"expected order as first token, got {tokens[0]!r}") from None
-    _check_order(n)
-    if len(tokens) != 1 + n * n:
-        raise ValueError(f"expected {n * n} cell tokens, got {len(tokens) - 1}")
-    clues: dict[Cell, int] = {}
-    for idx, tok in enumerate(tokens[1:]):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"bad cell token {tok!r}") from None
-        if not 0 <= v <= n:
-            raise ValueError(f"cell value {v} out of range 0..{n}")
-        if v:
-            clues[(idx // n + 1, idx % n + 1)] = v
-    return SudokuInstance(n, clues)
-
-
-_LINE_LENGTHS = {16: 4, 81: 9}
-
-
-def _parse_line_format(text: str) -> SudokuInstance:
-    line = text.strip()
-    if len(line) not in _LINE_LENGTHS:
-        raise ValueError(
-            f"line format must be 16 or 81 characters, got {len(line)}"
-        )
-    n = _LINE_LENGTHS[len(line)]
-    clues: dict[Cell, int] = {}
-    for idx, ch in enumerate(line):
-        if ch in "0.":
-            continue
-        if not ch.isdigit():
-            raise ValueError(f"bad character {ch!r} at position {idx}")
-        v = int(ch)
-        if v > n:
-            raise ValueError(f"value {v} out of range for order {n}")
-        clues[(idx // n + 1, idx % n + 1)] = v
-    return SudokuInstance(n, clues)
+    n, values = _read_cells(text)
+    return SudokuInstance(n, dict(compress(zip(_cells(n), values), values)))
 
 
 def format_grid(grid: Grid) -> str:
@@ -184,37 +186,14 @@ def format_grid(grid: Grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_grid(text: str, fmt: str = "auto") -> Grid:
-    """Parse a complete grid (no blanks).  Values are range-checked but the
-    Sudoku constraints are not; use validate_grid for that."""
-    if fmt not in ("auto", "grid", "line"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "auto":
-        fmt = "grid" if len(text.split()) > 1 else "line"
-    if fmt == "grid":
-        tokens = text.split()
-        if not tokens:
-            raise ValueError("empty grid text")
-        try:
-            n = int(tokens[0])
-            values = [int(t) for t in tokens[1:]]
-        except ValueError:
-            raise ValueError("bad grid token") from None
-        _check_order(n)
-        if len(values) != n * n:
-            raise ValueError(f"expected {n * n} cell tokens, got {len(values)}")
-    else:
-        line = text.strip()
-        if len(line) not in _LINE_LENGTHS:
-            raise ValueError(f"line format must be 16 or 81 characters, got {len(line)}")
-        n = _LINE_LENGTHS[len(line)]
-        if not line.isdigit():
-            raise ValueError("complete grid line must be all digits")
-        values = [int(ch) for ch in line]
-    if any(not 1 <= v <= n for v in values):
-        raise ValueError("grid is not complete or has out-of-range values")
-    rows = tuple(tuple(values[r * n : (r + 1) * n]) for r in range(n))
-    return Grid(n, rows)
+def parse_grid(text: str) -> Grid:
+    """Parse a complete grid (no blanks) in either of parse_sudoku's
+    formats.  Values are range-checked but the Sudoku constraints are not;
+    use validate_grid for that."""
+    n, values = _read_cells(text)
+    if 0 in values:
+        raise ValueError(f"grid is not complete: cell {values.index(0)} is blank")
+    return Grid(n, tuple(tuple(values[r : r + n]) for r in range(0, n * n, n)))
 
 
 def validate_grid(instance: SudokuInstance, grid: Grid) -> list[Violation]:

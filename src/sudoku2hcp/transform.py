@@ -26,7 +26,7 @@ from itertools import accumulate, chain, compress, pairwise
 from typing import Callable, Iterable
 
 from .graphs import DirectedGraph, UndirectedGraph
-from .labels import label_cand, label_dup, vertex_count
+from .labels import label_cand, label_dup, order_for_vertex_count, vertex_count
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,7 @@ def _project_triplication(cycle: list[int], n: int) -> list[int]:
     return out[low:] + out[:low]
 
 
-def compress_triples(
-    g: UndirectedGraph, order: int
-) -> tuple[UndirectedGraph, CycleLifter]:
+def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     """Drop the removable middle vertex of every candidate-triple gadget.
 
     In the triplication of an encoding graph, the nine vertices of each
@@ -248,13 +246,12 @@ def compress_triples(
     left at the other; the middle copy of the slot-2 vertex can be removed
     and its two neighbours bridged without changing which cycles exist.
     Removes exactly 2N^3 vertices and 2N^3 edges; surviving vertices are
-    renumbered in order.
+    renumbered in order.  The order N is the one whose encoding's
+    triplication has g.n vertices.
     """
-    n = order
+    n = order_for_vertex_count(g.n // 3)
     if g.n != 3 * vertex_count(n):
-        raise ValueError(
-            f"graph has {g.n} vertices, not the triplication of an order-{n} encoding"
-        )
+        raise ValueError(f"graph has {g.n} vertices, not the triplication of an encoding")
     # as in reduce_graph, and before a bare header can make 2N^3 ids
     if g.m < g.n:
         raise ValueError(f"{g.m} edges cannot cover {g.n} vertices")

@@ -66,7 +66,7 @@ def test_criterion_2_formula_suite():
         ug, _ = undirect(g)
         assert ug.n == 18 * n**3 + 15 * n**2 + 6 * n + 6
         assert ug.m == 31 * n**3 + 12 * n**2 + 6 * n + 6
-        cg, _ = compress_triples(ug, n)
+        cg, _ = compress_triples(ug)
         assert cg.n == 16 * n**3 + 15 * n**2 + 6 * n + 6
         assert cg.m == 29 * n**3 + 12 * n**2 + 6 * n + 6
     elapsed = time.monotonic() - t0
@@ -100,7 +100,7 @@ def test_criterion_4_pruning_counts():
         pruned, _ = prune_fixed(g, SudokuInstance(9, {(i, j): k}))
         return base - pruned.arc_set()
 
-    solution = parse_sudoku(SOLUTION_35, "line")
+    solution = parse_sudoku(SOLUTION_35)
     cells = sorted(solution.clues)
     checked = 0
     while checked < 50:
@@ -193,7 +193,7 @@ def test_criterion_8_solver_correctness():
 
 
 def test_criterion_9_desk_scale_order9():
-    inst = parse_sudoku(PUZZLE_35, "line")
+    inst = parse_sudoku(PUZZLE_35)
     assert inst.clue_count == 35
     oracle = enumerate_solutions(inst, 2)
     assert len(oracle) == 1  # well-formed
@@ -211,7 +211,7 @@ def test_criterion_9_desk_scale_order9():
     # substitute for the unpublished post-reduction counts: reduction must
     # strictly shrink any pruned instance with at least 17 clues
     g9 = build_hcp(9)
-    solution = parse_sudoku(SOLUTION_35, "line")
+    solution = parse_sudoku(SOLUTION_35)
     cells = sorted(solution.clues)
     rng = random.Random(909090)
     trials = [inst]

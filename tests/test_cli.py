@@ -56,12 +56,24 @@ def test_pipeline_well_formed_puzzle(puzzle_file, capsys):
     "argv",
     [["pipeline", "--no-prune"], ["pipeline", "--compress"],
      ["pipeline", "--seed", "1"], ["solve", "-o", "c.cyc", "--seed", "1"],
-     ["convert", "-o", "g.dhcp", "--prune"]],
+     ["convert", "-o", "g.dhcp", "--prune"],
+     ["convert", "-o", "g.dhcp", "--format", "line"], ["pipeline", "--format", "line"],
+     ["compress", "-o", "c.uhcp", "--journal-out", "c.journal", "--order", "4"],
+     ["recover", "--order", "4"]],
 )
 def test_removed_options_rejected(puzzle_file, capsys, argv):
     path = puzzle_file("p.txt", "2" + "." * 15)
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + [path] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_format_option_removed(puzzle_file, capsys):
+    p = puzzle_file("p.txt", BLANK4)
+    g = puzzle_file("g.txt", format_grid(all_order4_solutions()[0]))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--puzzle", p, "--grid", g, "--format", "grid"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -218,6 +230,17 @@ def test_export_tsplib(puzzle_file, capsys, tmp_path):
     text = open(f"{d}/g.tsp").read()
     assert text.splitlines()[0] == "NAME: blank4"
     assert "DIMENSION: 1422" in text
+
+
+def test_export_tsplib_rejects_a_header_injecting_name(puzzle_file, capsys, tmp_path):
+    # a line break in the name would write a second TYPE: line
+    gf = puzzle_file("g.uhcp", export_graph(undirect(build_hcp(4))[0]))
+    argv = ["export-tsplib", gf, "-o", f"{tmp_path}/g.tsp", "--name", "x\nTYPE: TSP"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: TSPLIB name must be non-empty and printable")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.uhcp"]
 
 
 def test_missing_file_exit_3(capsys):

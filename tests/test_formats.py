@@ -96,6 +96,17 @@ class TestTsplib:
         # 5 header lines, the edges, the -1 terminator and EOF
         assert len(text.splitlines()) == 7 + ug.m
 
+    @pytest.mark.parametrize("name", ["", "x\nTYPE: TSP", "x\r", "a\tb", "x\u2028y"])
+    def test_name_must_be_one_printable_line(self, name):
+        g = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
+        with pytest.raises(ValueError, match="^TSPLIB name must be non-empty and printable"):
+            export_tsplib_hcp(g, name)
+
+    def test_name_may_hold_spaces(self):
+        g = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
+        assert export_tsplib_hcp(g, "order 4 blank").splitlines()[:2] == [
+            "NAME: order 4 blank", "TYPE: HCP"]
+
 
 class TestCycleFormat:
     def test_canonical_form(self):

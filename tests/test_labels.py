@@ -102,3 +102,22 @@ class TestCounts:
             assert order_for_vertex_count(vertex_count(n)) == n
         with pytest.raises(ValueError):
             order_for_vertex_count(1000)
+
+    def test_order_for_vertex_count_matches_the_scan(self):
+        # every count up to order 9's, and each order's count and its
+        # neighbours up to box 300: an order exactly for the orders' counts
+        counts = {vertex_count(b * b): b * b for b in range(2, 301)}
+        probes = [*range(vertex_count(9) + 2)]
+        probes += [v + d for v in counts for d in (-1, 0, 1)]
+        for v in probes:
+            if v in counts:
+                assert order_for_vertex_count(v) == counts[v]
+            else:
+                with pytest.raises(ValueError, match=f"^{v} is not a vertex count of any order$"):
+                    order_for_vertex_count(v)
+
+    def test_order_for_vertex_count_of_a_huge_header(self):
+        # a 61-digit count used to take about 10^10 steps
+        with pytest.raises(ValueError, match="is not a vertex count of any order"):
+            order_for_vertex_count(10**60)
+        assert order_for_vertex_count(vertex_count(10**40)) == 10**40

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -157,3 +158,59 @@ def test_differential_against_enumeration():
     # the seed gives 110 solved, 8 refuted by reduce and 4 by the search
     assert seen["solved"] >= 90, seen
     assert seen["unsat by reduce"] >= 3 and seen["unsat by search"] >= 3, seen
+
+
+def _relabelled(grid: Grid, rng: random.Random) -> Grid:
+    """grid under a random digit relabelling and random row and column
+    permutations within each band and stack: again a solved grid."""
+    n, box = grid.order, isqrt(grid.order)
+    digits = rng.sample(range(1, n + 1), n)
+    rows, cols = (
+        [band + r for band in range(0, n, box) for r in rng.sample(range(box), box)]
+        for _ in range(2)
+    )
+    return Grid(n, tuple(tuple(digits[grid.rows[r][c] - 1] for c in cols) for r in rows))
+
+
+def _clashing_free_change(inst: SudokuInstance, rng: random.Random) -> SudokuInstance:
+    """inst with one clue given another value that no other clue clashes
+    with (inst itself if no clue has one)."""
+    for cell in rng.sample(sorted(inst.clues), inst.clue_count):
+        for k in rng.sample(range(1, inst.order + 1), inst.order):
+            if k != inst.clues[cell]:
+                try:
+                    return SudokuInstance(inst.order, {**inst.clues, cell: k})
+                except ValueError:
+                    pass
+    return inst
+
+
+def test_differential_9x9_against_enumeration(monkeypatch):
+    # thinnings of relabelled copies of SOLUTION_35 at 28-40 clues, some
+    # with a clue changed so that they may have no solution; the first
+    # puzzle of the run is pruned and triplicated, the others derived
+    derived = []
+    monkeypatch.setattr(
+        pipeline, "undirect_without", lambda g, arcs: derived.append(1) or undirect_without(g, arcs)
+    )
+    rng = random.Random(9090)
+    solution = parse_grid(SOLUTION_35)
+    instances = []
+    for idx in range(25):
+        inst = _thinning(_relabelled(solution, rng), rng.randint(28, 40), rng)
+        instances.append(_clashing_free_change(inst, rng) if idx % 3 == 0 else inst)
+    pipeline._blank_encoding.cache_clear()
+    seen = {"solved": 0, "unsat": 0}
+    for inst in instances:
+        res = solve_instance(inst)
+        oracle = enumerate_solutions(inst, 1)
+        if res.status == "solved":
+            assert oracle
+            assert validate_grid(inst, res.grid) == []
+        else:
+            assert res.status == "unsat"
+            assert oracle == []
+        seen[res.status] += 1
+    assert len(derived) == len(instances) - 1
+    # the seed gives 19 solved, 5 refuted by the search and 1 by reduce
+    assert seen["unsat"] >= 1, seen

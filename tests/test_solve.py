@@ -223,7 +223,7 @@ class TestSolve:
         assert out.stats.nodes == 0
 
     def test_search_counters_repeat(self):
-        g35 = _pipeline_graph(parse_sudoku(PUZZLE_35, "line"))
+        g35 = _pipeline_graph(parse_sudoku(PUZZLE_35))
         for g, status in ((petersen(), "no_cycle"), (g35, "cycle")):
             runs = [solve_hcp(g) for _ in range(3)]
             assert {out.status for out in runs} == {status}
@@ -264,7 +264,7 @@ class TestSolveDirected:
         from sudoku2hcp import parse_sudoku, prune_fixed, recover_solution, validate_grid
         from _support import PUZZLE_35
 
-        inst = parse_sudoku(PUZZLE_35, "line")
+        inst = parse_sudoku(PUZZLE_35)
         g, _ = prune_fixed(build_hcp(9), inst)
         out = solve_directed(g, SolveBudget(max_ms=600_000))
         assert out.status == "cycle"
@@ -322,7 +322,7 @@ class TestMatchesScanSolver:
             assert _same_search(g, SolveBudget(10**6, 10**9)) == "cycle"
 
     def test_puzzle_35(self):
-        g = _pipeline_graph(parse_sudoku(PUZZLE_35, "line"))
+        g = _pipeline_graph(parse_sudoku(PUZZLE_35))
         assert _same_search(g, SolveBudget(10**6, 10**9)) == "cycle"
 
     def test_blank_order9_under_budget(self):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -34,50 +35,50 @@ GRID_4 = Grid.from_rows([(1, 2, 3, 4), (3, 4, 1, 2), (2, 1, 4, 3), (4, 3, 2, 1)]
 
 class TestParse:
     def test_line_single_clue(self):
-        inst = parse_sudoku("1" + "." * 15, "line")
+        inst = parse_sudoku("1" + "." * 15)
         assert inst.order == 4
         assert inst.clues == {(1, 1): 1}
 
     def test_line_blank_81(self):
-        inst = parse_sudoku("." * 81, "line")
+        inst = parse_sudoku("." * 81)
         assert inst.order == 9
         assert inst.clues == {}
 
     def test_line_zero_is_blank(self):
-        inst = parse_sudoku("0" * 80 + "7", "line")
+        inst = parse_sudoku("0" * 80 + "7")
         assert inst.clues == {(9, 9): 7}
 
     def test_line_wrong_length(self):
         with pytest.raises(ValueError, match="16 or 81"):
-            parse_sudoku("1" * 20, "line")
+            parse_sudoku("1" * 20)
 
     def test_line_value_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            parse_sudoku("5" + "." * 15, "line")
+            parse_sudoku("5" + "." * 15)
 
     def test_grid_format(self):
         text = "4\n1 0 0 0\n0 2 0 0\n0 0 3 0\n0 0 0 4\n"
-        inst = parse_sudoku(text, "grid")
+        inst = parse_sudoku(text)
         assert inst.order == 4
         assert inst.clues == {(1, 1): 1, (2, 2): 2, (3, 3): 3, (4, 4): 4}
 
     def test_grid_duplicate_in_row_rejected(self):
         text = "4\n1 1 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
         with pytest.raises(ValueError, match="inconsistent"):
-            parse_sudoku(text, "grid")
+            parse_sudoku(text)
 
     def test_grid_duplicate_in_block_rejected(self):
         text = "4\n1 0 0 0\n0 1 0 0\n0 0 0 0\n0 0 0 0\n"
         with pytest.raises(ValueError, match="inconsistent"):
-            parse_sudoku(text, "grid")
+            parse_sudoku(text)
 
     def test_grid_non_square_order(self):
         with pytest.raises(ValueError, match="perfect square"):
-            parse_sudoku("5\n" + "0 " * 25, "grid")
+            parse_sudoku("5\n" + "0 " * 25)
 
     def test_grid_token_count(self):
         with pytest.raises(ValueError, match="cell tokens"):
-            parse_sudoku("4\n0 0 0\n", "grid")
+            parse_sudoku("4\n0 0 0\n")
 
     def test_auto_detection(self):
         assert parse_sudoku("." * 16).order == 4
@@ -86,7 +87,41 @@ class TestParse:
     def test_grid_round_trip(self):
         text = format_grid(GRID_4)
         assert parse_grid(text) == GRID_4
-        assert parse_grid("1234341221434321", "line") == GRID_4
+        assert parse_grid("1234341221434321") == GRID_4
+
+    @pytest.mark.parametrize("ch", ["\u0663", "\u00b2", "\uff11", "x", "-"])
+    def test_line_takes_ascii_digits_only(self, ch):
+        # Arabic-Indic three, superscript two, fullwidth one: digits to
+        # str.isdigit and int(), but not cell values
+        for parse in (parse_sudoku, parse_grid):
+            with pytest.raises(ValueError, match=f"^bad character {ch!r} at position 0$"):
+                parse(ch + "." * 15)
+
+    @pytest.mark.parametrize("tok", ["+1", "1_0", "-0", "\u0663", "1.0", "0x1"])
+    def test_grid_takes_ascii_digits_only(self, tok):
+        # int() reads each of these; a cell token is ASCII digits
+        text = "4\n" + tok + " 0 0 0" + "\n0 0 0 0" * 3
+        want = f"^bad cell token {re.escape(repr(tok))}$"
+        with pytest.raises(ValueError, match=want):
+            parse_sudoku(text)
+        with pytest.raises(ValueError, match=want):
+            parse_grid(text.replace(" 0", " 1"))
+
+    def test_grid_order_takes_ascii_digits_only(self):
+        with pytest.raises(ValueError, match="^expected order as first token, got '\\+4'$"):
+            parse_sudoku("+4\n" + "0 " * 16)
+
+    def test_grid_value_out_of_range(self):
+        with pytest.raises(ValueError, match="^clue value 5 at \\(2, 3\\) out of range$"):
+            parse_sudoku("4\n" + "0 " * 6 + "5 " + "0 " * 9)
+        with pytest.raises(ValueError, match="^grid values out of range$"):
+            parse_grid("4\n" + "1 " * 6 + "5 " + "1 " * 9)
+
+    def test_incomplete_grid_rejected(self):
+        with pytest.raises(ValueError, match="^grid is not complete: cell 3 is blank$"):
+            parse_grid("123.341221434321")
+        with pytest.raises(ValueError, match="^grid is not complete"):
+            parse_grid(format_grid(GRID_4)[:-2] + "0\n")
 
 
 class TestBlockOf:

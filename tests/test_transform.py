@@ -165,7 +165,7 @@ class TestCompress:
         assert vertices == 16 * n**3 + 15 * n**2 + 6 * n + 6
         assert edges == 29 * n**3 + 12 * n**2 + 6 * n + 6
         ug, _ = undirect(build_hcp(n))
-        cg, _ = compress_triples(ug, n)
+        cg, _ = compress_triples(ug)
         assert cg.n == vertices
         assert cg.m == edges
         assert ug.n - cg.n == 2 * n**3
@@ -174,7 +174,7 @@ class TestCompress:
     def test_end_to_end_blank_order4(self):
         g = build_hcp(4)
         ug, lifter = undirect(g)
-        cg, step = compress_triples(ug, 4)
+        cg, step = compress_triples(ug)
         outcome = solve_hcp(cg)
         assert outcome.status == "cycle"
         directed = (lifter + step).lift(outcome.cycle)
@@ -184,7 +184,15 @@ class TestCompress:
 
     def test_shape_rejected(self):
         with pytest.raises(ValueError):
-            compress_triples(UndirectedGraph(5, [(1, 2)]), 4)
+            compress_triples(UndirectedGraph(5, [(1, 2)]))
+
+    def test_order_read_off_the_vertex_count(self):
+        # n // 3 names no order, or n is 3V + 1 for an order's count V
+        v = vertex_count(4)
+        for n, match in [(3 * v + 3, f"^{v + 1} is not a vertex count of any order$"),
+                         (3 * v + 1, f"^graph has {3 * v + 1} vertices, not the triplication")]:
+            with pytest.raises(ValueError, match=match):
+                compress_triples(UndirectedGraph(n, [(1, 2)]))
 
     def test_header_only_rejected_before_the_middles(self):
         # the size of an order-100 triplication and no edges: rejected
@@ -193,7 +201,7 @@ class TestCompress:
 
         def attempt():
             with pytest.raises(ValueError, match="^0 edges cannot cover 18150606 vertices$"):
-                compress_triples(g, 100)
+                compress_triples(g)
 
         assert peak_bytes(attempt) < 1_000_000
 
@@ -203,14 +211,14 @@ class TestCompress:
         g = UndirectedGraph(ug.n, [e for e in ug.edges() if 1 not in e or e == (1, 2)])
         assert g.m >= g.n
         with pytest.raises(ValueError, match="^vertex 1 has degree 1$"):
-            compress_triples(g, 4)
+            compress_triples(g)
 
     def test_right_size_non_encoding_keeps_its_error(self):
         # every degree 2 and m = n, but v's neighbours are v - 2 and v + 2
         n = 3 * vertex_count(4)
         g = UndirectedGraph(n, [(v, (v + 1) % n + 1) for v in range(1, n + 1)])
         with pytest.raises(ValueError, match="is not a removable gadget middle"):
-            compress_triples(g, 4)
+            compress_triples(g)
 
 
 def gadget_middles(order: int) -> list[int]:
@@ -235,11 +243,12 @@ def compress_by_edge_list(g: UndirectedGraph, order: int):
 
 
 def assert_compress_matches_edge_list(g: UndirectedGraph, order: int):
-    """compress_triples(g, order) stored tuple for tuple as the edge-list
-    rebuild's graph, with the same journal text, and g stored as it was."""
+    """compress_triples(g), for g of an order-`order` encoding, stored tuple
+    for tuple as the edge-list rebuild's graph, with the same journal text,
+    and g stored as it was."""
     n, m, keys, adj = storage(g)
     before = (n, m, keys, dict(adj))
-    out, lifter = compress_triples(g, order)
+    out, lifter = compress_triples(g)
     assert storage(g) == before
     want, records = compress_by_edge_list(g, order)
     assert storage(out) == storage(want)
@@ -271,7 +280,7 @@ class TestCompressMatchesEdgeList:
         for bridged, extra, match in faults:
             edges = [*ug.edges(), (bridged - 1, bridged + 1), (extra, 1)]
             with pytest.raises(ValueError, match=match):
-                compress_triples(UndirectedGraph(ug.n, edges), 4)
+                compress_triples(UndirectedGraph(ug.n, edges))
 
 
 def cycle_graph(n):
@@ -642,7 +651,7 @@ class TestLift:
         inst, sol = well_formed_order4(rng)
         pruned, _ = prune_fixed(g4, inst)
         ug, lifter = undirect(pruned)
-        cg, step1 = compress_triples(ug, 4)
+        cg, step1 = compress_triples(ug)
         out = reduce_graph(cg)
         assert not isinstance(out, Infeasible)
         reduced, step2 = out
