@@ -5,8 +5,6 @@ graph pipeline."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -115,15 +113,7 @@ def blank_instance(order: int) -> SudokuInstance:
     return SudokuInstance(order, {})
 
 
-@lru_cache(maxsize=4)
-def _cells(order: int) -> tuple[Cell, ...]:
-    """The cells of an order-`order` grid, row-major."""
-    r = range(1, order + 1)
-    return tuple((i, j) for i in r for j in r)
-
-
 _LINE_LENGTHS = {16: 4, 81: 9}
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _is_number(text: str) -> bool:
@@ -145,8 +135,7 @@ def _read_cells(text: str) -> tuple[int, list[int]]:
         _check_order(n)
         if len(cells) != n * n:
             raise ValueError(f"expected {n * n} cell tokens, got {len(cells)}")
-        digits = "".join(cells)
-        if not _is_number(digits):
+        if not _is_number("".join(cells)):
             bad = next(tok for tok in cells if not _is_number(tok))
             raise ValueError(f"bad cell token {bad!r}")
     else:
@@ -154,16 +143,11 @@ def _read_cells(text: str) -> tuple[int, list[int]]:
         if len(line) not in _LINE_LENGTHS:
             raise ValueError(f"line format must be 16 or 81 characters, got {len(line)}")
         n = _LINE_LENGTHS[len(line)]
-        cells = digits = line.replace(".", "0")
-        if not _is_number(digits):
-            idx = next(idx for idx, ch in enumerate(digits) if not _is_number(ch))
+        cells = line.replace(".", "0")
+        if not _is_number(cells):
+            idx = next(idx for idx, ch in enumerate(cells) if not _is_number(ch))
             raise ValueError(f"bad character {line[idx]!r} at position {idx}")
-    if len(digits) == len(cells):
-        # every cell one digit, as in every line and most grids: one call
-        values = list(digits.encode().translate(_DIGIT_VALUES))
-    else:
-        values = list(map(int, cells))
-    return n, values
+    return n, list(map(int, cells))
 
 
 def parse_sudoku(text: str) -> SudokuInstance:
@@ -176,7 +160,9 @@ def parse_sudoku(text: str) -> SudokuInstance:
     Digits are the ASCII '0'-'9' only.
     """
     n, values = _read_cells(text)
-    return SudokuInstance(n, dict(compress(zip(_cells(n), values), values)))
+    return SudokuInstance(
+        n, {(idx // n + 1, idx % n + 1): v for idx, v in enumerate(values) if v}
+    )
 
 
 def format_grid(grid: Grid) -> str:
