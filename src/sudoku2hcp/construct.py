@@ -30,7 +30,6 @@ from .labels import (
     label_dup_end,
     label_row,
     label_row_end,
-    role_of,
     vertex_count,
 )
 from .sudoku import (
@@ -309,8 +308,9 @@ def recover_solution(cycle: list[int], order: int) -> Grid:
 
     For each cell, exactly one cycle neighbour of its cell_end vertex is a
     slot-1 candidate vertex of that cell; the candidate's value index is
-    the cell's value.  Works on the cycle as a cyclic sequence, so either
-    traversal direction is accepted.
+    the cell's value.  Those candidates are every third label from
+    label_cand(i, j, 1, 1), one per value.  Works on the cycle as a cyclic
+    sequence, so either traversal direction is accepted.
     """
     n = order
     total = vertex_count(n)
@@ -326,11 +326,14 @@ def recover_solution(cycle: list[int], order: int) -> Grid:
             idx = pos.get(label_cell_end(i, j, n))
             if idx is None:
                 raise ValueError(f"cycle is missing the cell_end vertex of ({i}, {j})")
+            first = label_cand(i, j, 1, 1, n)
+            slot1 = range(first, first + 3 * n, 3)
             values = []
             for nb in (cycle[idx - 1], cycle[(idx + 1) % total]):
-                role = role_of(nb, n)
-                if role.kind == "cand" and role.args[:2] == (i, j) and role.args[3] == 1:
-                    values.append(role.args[2])
+                if not 1 <= nb <= total:
+                    raise ValueError(f"label {nb} out of range 1..{total}")
+                if nb in slot1:
+                    values.append(slot1.index(nb) + 1)
             if len(values) != 1:
                 raise ValueError(
                     f"cell ({i}, {j}): expected exactly one adjacent slot-1 "

@@ -22,8 +22,11 @@ that graph files remain stable across runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import isqrt
+from math import prod
+
+from .sudoku import _check_order
 
 
 @dataclass(frozen=True, order=True)
@@ -160,104 +163,62 @@ def label_dup_end(i: int, j: int, n: int) -> int:
     return 2 + 6 * n**3 + 4 * n * n + 2 * n + (i - 1) * n + j
 
 
-_ARITIES = {
-    "start": 0,
-    "finish": 0,
-    "block": 2,
-    "row": 2,
-    "row_end": 1,
-    "col": 2,
-    "col_end": 1,
-    "cand": 4,
-    "cell_end": 2,
-    "dup": 4,
-    "dup_end": 2,
-}
+# The vertex layout: each family's kind and the upper bound of each of its
+# indices, in label order.  Indices run from 1 and the last one is fastest;
+# "n" stands for the order, and a candidate's slot runs 1..3.
+_LAYOUT = (
+    ("start", ()),
+    ("finish", ()),
+    ("block", ("n", "n")),
+    ("row", ("n", "n")),
+    ("row_end", ("n",)),
+    ("col", ("n", "n")),
+    ("col_end", ("n",)),
+    ("cand", ("n", "n", "n", 3)),
+    ("cell_end", ("n", "n")),
+    ("dup", ("n", "n", "n", 3)),
+    ("dup_end", ("n", "n")),
+)
+
+
+def _families(order: int) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """Each family's kind, index bounds and first label, in label order;
+    raises unless the order is a perfect square >= 4."""
+    _check_order(order)
+    first = 1
+    for kind, dims in _LAYOUT:
+        bounds = tuple(order if d == "n" else d for d in dims)
+        yield kind, bounds, first
+        first += prod(bounds)
 
 
 def label_of(role: Role, order: int) -> int:
     """Numeric label of a role; raises on unknown kinds or out-of-range
     indices."""
-    n = order
-    if isqrt(n) ** 2 != n or n < 4:
-        raise ValueError(f"order must be a perfect square >= 4, got {n}")
-    kind, args = role.kind, role.args
-    if _ARITIES.get(kind) != len(args):
+    for kind, bounds, first in _families(order):
+        if kind == role.kind and len(bounds) == len(role.args):
+            break
+    else:
         raise ValueError(f"malformed role {role!r}")
-    slots = args[3:] if kind in ("cand", "dup") else ()
-    plain = args[:3] if kind in ("cand", "dup") else args
-    if any(not 1 <= v <= n for v in plain) or any(not 1 <= s <= 3 for s in slots):
-        raise ValueError(f"role {role!r} out of range for order {n}")
-    if kind == "start":
-        return START
-    if kind == "finish":
-        return FINISH
-    if kind == "block":
-        return label_block(*args, n)
-    if kind == "row":
-        return label_row(*args, n)
-    if kind == "row_end":
-        return label_row_end(*args, n)
-    if kind == "col":
-        return label_col(*args, n)
-    if kind == "col_end":
-        return label_col_end(*args, n)
-    if kind == "cand":
-        return label_cand(*args, n)
-    if kind == "cell_end":
-        return label_cell_end(*args, n)
-    if kind == "dup":
-        return label_dup(*args, n)
-    return label_dup_end(*args, n)
+    offset = 0
+    for v, bound in zip(role.args, bounds):
+        if not 1 <= v <= bound:
+            raise ValueError(f"role {role!r} out of range for order {order}")
+        offset = offset * bound + v - 1
+    return first + offset
 
 
 def role_of(label: int, order: int) -> Role:
     """Inverse of label_of."""
-    n = order
-    if isqrt(n) ** 2 != n or n < 4:
-        raise ValueError(f"order must be a perfect square >= 4, got {n}")
-    total = vertex_count(n)
+    _check_order(order)
+    total = vertex_count(order)
     if not 1 <= label <= total:
         raise ValueError(f"label {label} out of range 1..{total}")
-    if label == START:
-        return start()
-    if label == FINISH:
-        return finish()
-    n2, n3 = n * n, n**3
-    x = label - 2
-    if x <= n2:
-        a, k = divmod(x - 1, n)
-        return block(a + 1, k + 1)
-    x -= n2
-    if x <= n2:
-        i, k = divmod(x - 1, n)
-        return row(i + 1, k + 1)
-    x -= n2
-    if x <= n:
-        return row_end(x)
-    x -= n
-    if x <= n2:
-        j, k = divmod(x - 1, n)
-        return col(j + 1, k + 1)
-    x -= n2
-    if x <= n:
-        return col_end(x)
-    x -= n
-    if x <= 3 * n3:
-        triple, slot = divmod(x - 1, 3)
-        ij, k = divmod(triple, n)
-        i, j = divmod(ij, n)
-        return cand(i + 1, j + 1, k + 1, slot + 1)
-    x -= 3 * n3
-    if x <= n2:
-        i, j = divmod(x - 1, n)
-        return cell_end(i + 1, j + 1)
-    x -= n2
-    if x <= 3 * n3:
-        triple, slot = divmod(x - 1, 3)
-        ij, k = divmod(triple, n)
-        i, j = divmod(ij, n)
-        return dup(i + 1, j + 1, k + 1, slot + 1)
-    x -= 3 * n3
-    i, j = divmod(x - 1, n)
-    return dup_end(i + 1, j + 1)
+    for kind, bounds, first in _families(order):
+        if label < first + prod(bounds):
+            break
+    offset, args = label - first, []
+    for bound in reversed(bounds):
+        offset, v = divmod(offset, bound)
+        args.append(v + 1)
+    return Role(kind, tuple(reversed(args)))

@@ -77,10 +77,6 @@ class SudokuInstance:
                 seen[unit] = (i, j)
 
     @property
-    def box_size(self) -> int:
-        return isqrt(self.order)
-
-    @property
     def clue_count(self) -> int:
         return len(self.clues)
 
@@ -131,7 +127,14 @@ def _read_cells(text: str) -> tuple[int, list[int]]:
         head, cells = tokens[0], tokens[1:]
         if not _is_number(head):
             raise ValueError(f"expected order as first token, got {head!r}")
-        n = int(head)
+        # an order of more digits than the cell count has more than that
+        # many cells, and int() refuses thousands of digits in its own words
+        digits = head.lstrip("0") or "0"
+        if len(digits) > len(str(len(cells))):
+            raise ValueError(
+                f"order has {len(digits)} digits, too many for {len(cells)} cell tokens"
+            )
+        n = int(digits)
         _check_order(n)
         if len(cells) != n * n:
             raise ValueError(f"expected {n * n} cell tokens, got {len(cells)}")

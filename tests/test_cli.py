@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from sudoku2hcp import (
@@ -83,6 +85,14 @@ def test_pipeline_inconsistent_exit_3(puzzle_file, capsys):
     rc = main(["pipeline", path])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_pipeline_order_of_thousands_of_digits_exit_3(puzzle_file, capsys):
+    path = puzzle_file("p.txt", "4" * 5000 + "\n" + "0 " * 16)
+    assert main(["pipeline", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: order has 5000 digits, too many for 16 cell tokens\n"
+    assert captured.out == ""
 
 
 def test_pipeline_unsat_exit_1(puzzle_file, capsys, tmp_path):
@@ -177,7 +187,7 @@ def test_convert_prunes_for_the_clues(puzzle_file, capsys, tmp_path):
     assert main(["convert", path, "-o", f"{d}/g.dhcp"]) == 0
     pruned, removed = prune_fixed(build_hcp(4), parse_sudoku(PUZZLE4))
     assert removed > 0
-    assert open(f"{d}/g.dhcp").read() == export_graph(pruned)
+    assert Path(d, "g.dhcp").read_text() == export_graph(pruned)
     said = capsys.readouterr().out
     assert said == f"wrote {d}/g.dhcp: {pruned.n} vertices, {pruned.m} arcs, {removed} pruned\n"
 
@@ -227,7 +237,7 @@ def test_export_tsplib(puzzle_file, capsys, tmp_path):
         main(["export-tsplib", f"{d}/g.uhcp", "-o", f"{d}/g.tsp",
               "--name", "blank4"]) == 0
     )
-    text = open(f"{d}/g.tsp").read()
+    text = Path(d, "g.tsp").read_text()
     assert text.splitlines()[0] == "NAME: blank4"
     assert "DIMENSION: 1422" in text
 

@@ -282,6 +282,50 @@ class TestRecover:
         with pytest.raises(ValueError):
             recover_solution(broken, 4)
 
+    @pytest.mark.parametrize(
+        "offset, role",
+        [
+            (1, L.cand(2, 3, 1, 2)),
+            (2, L.cand(2, 3, 1, 3)),
+            (10, L.cand(2, 3, 4, 2)),
+            (11, L.cand(2, 3, 4, 3)),
+            (-3, L.cand(2, 2, 4, 1)),
+            (12, L.cand(2, 4, 1, 1)),
+        ],
+    )
+    def test_only_the_cells_own_slot1_candidates_count(self, offset, role):
+        # cell (2, 3)'s slot-1 candidates are every third label from its
+        # first, four of them; put a candidate just off that range or
+        # stride next to its cell_end instead of its own
+        # the other cells' candidates must not sit next to their own
+        # cell_ends, or moving them would break those cells first
+        n = 4
+        sol = next(
+            s for s in all_order4_solutions() if s.value(2, 2) != 4 and s.value(2, 4) != 1
+        )
+        w = witness_cycle(blank_instance(n), sol)
+        stranger = label_of(role, n)
+        assert stranger == label_of(L.cand(2, 3, 1, 1), n) + offset
+        own = label_of(L.cand(2, 3, sol.value(2, 3), 1), n)
+        pos = {lab: idx for idx, lab in enumerate(w)}
+        cell_end = pos[label_of(L.cell_end(2, 3), n)]
+        assert own in (w[cell_end - 1], w[cell_end + 1])
+        broken = w[:]
+        broken[pos[own]], broken[pos[stranger]] = stranger, own
+        with pytest.raises(
+            ValueError,
+            match=r"^cell \(2, 3\): expected exactly one adjacent slot-1 candidate, found 0$",
+        ):
+            recover_solution(broken, n)
+
+    def test_neighbour_outside_the_labels_rejected(self):
+        w = witness_cycle(blank_instance(4), all_order4_solutions()[0])
+        idx = w.index(label_of(L.cell_end(1, 1), 4))
+        broken = w[:]
+        broken[idx - 1] = 0
+        with pytest.raises(ValueError, match="^label 0 out of range 1..474$"):
+            recover_solution(broken, 4)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expected"):
             recover_solution([1, 2, 3], 4)

@@ -36,6 +36,18 @@ class TestBijection:
         assert len(seen) == vertex_count(n)
 
     @pytest.mark.parametrize("n", [4, 9])
+    def test_label_functions_agree(self, n):
+        # label_of reads the layout table; the construction's label_*
+        # functions state the same layout by hand
+        fixed = {"start": L.START, "finish": L.FINISH}
+        for label in range(1, vertex_count(n) + 1):
+            role = role_of(label, n)
+            if role.kind in fixed:
+                assert fixed[role.kind] == label
+            else:
+                assert getattr(L, f"label_{role.kind}")(*role.args, n) == label
+
+    @pytest.mark.parametrize("n", [4, 9])
     def test_closed_forms(self, n):
         # cell_end(i,j) = 3N^3 + 3N^2 + (i+1)N + (j+2)
         # cand(i,j,k,1) = 3iN^2 + (3j-1)N + 3k

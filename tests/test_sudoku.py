@@ -111,6 +111,18 @@ class TestParse:
         with pytest.raises(ValueError, match="^expected order as first token, got '\\+4'$"):
             parse_sudoku("+4\n" + "0 " * 16)
 
+    def test_grid_order_of_thousands_of_digits(self):
+        # int() would refuse a 5000-digit order with Python's own message
+        want = "^order has 5000 digits, too many for 16 cell tokens$"
+        with pytest.raises(ValueError, match=want):
+            parse_sudoku("4" * 5000 + "\n" + "0 " * 16)
+        with pytest.raises(ValueError, match=want):
+            parse_grid("4" * 5000 + "\n" + "1 " * 16)
+        # leading zeros are not digits of the order
+        assert parse_sudoku("0" * 5000 + "4\n" + "0 " * 16).order == 4
+        with pytest.raises(ValueError, match="^order has 3 digits, too many for 16 cell tokens$"):
+            parse_sudoku("100\n" + "0 " * 16)
+
     def test_grid_value_out_of_range(self):
         with pytest.raises(ValueError, match="^clue value 5 at \\(2, 3\\) out of range$"):
             parse_sudoku("4\n" + "0 " * 6 + "5 " + "0 " * 9)
