@@ -177,8 +177,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     instance = parse_sudoku(_read(args.puzzle))
-    config = PipelineConfig(reduce=not args.no_reduce, budget=_budget(args))
-    result = solve_instance(instance, config)
+    result = solve_instance(instance, PipelineConfig(budget=_budget(args)))
     if args.stats and result.outcome is not None:
         print(format_stats_line(result.outcome.stats))
     if result.status == "budget":
@@ -261,7 +260,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pipeline", help="puzzle to solved grid in one run")
     sp.add_argument("puzzle")
-    sp.add_argument("--no-reduce", action="store_true")
     budget_opts(sp)
     sp.set_defaults(func=_cmd_pipeline)
 

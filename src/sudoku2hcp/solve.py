@@ -26,7 +26,7 @@ from itertools import compress, repeat
 from operator import contains
 
 from .graphs import DirectedGraph, UndirectedGraph
-from .transform import undirect
+from .transform import _uncoverable, undirect
 
 
 class Contradiction(Exception):
@@ -341,7 +341,7 @@ def solve_hcp(
         stats.time_ms = elapsed_ms()
         return SolveOutcome(status, cycle, stats)
 
-    if g.m < g.n or g.low_degree_vertex():
+    if _uncoverable(g):
         return outcome("no_cycle")
 
     state = SolveState(g)

@@ -238,6 +238,18 @@ def _project_triplication(cycle: list[int], n: int) -> list[int]:
     return out[low:] + out[:low]
 
 
+def _uncoverable(g: UndirectedGraph) -> str | None:
+    """Why no Hamiltonian cycle covers g, found from its sizes alone and
+    before anything is allocated per vertex: fewer edges than vertices or
+    a vertex of degree below 2.  None when neither holds."""
+    if g.m < g.n:
+        return f"{g.m} edges cannot cover {g.n} vertices"
+    low = g.low_degree_vertex()
+    if low:
+        return f"vertex {low} has degree {g.degree(low)}"
+    return None
+
+
 def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     """Drop the removable middle vertex of every candidate-triple gadget.
 
@@ -253,11 +265,9 @@ def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     if g.n != 3 * vertex_count(n):
         raise ValueError(f"graph has {g.n} vertices, not the triplication of an encoding")
     # as in reduce_graph, and before a bare header can make 2N^3 ids
-    if g.m < g.n:
-        raise ValueError(f"{g.m} edges cannot cover {g.n} vertices")
-    low = g.low_degree_vertex()
-    if low:
-        raise ValueError(f"vertex {low} has degree {g.degree(low)}")
+    reason = _uncoverable(g)
+    if reason:
+        raise ValueError(reason)
     r = range(1, n + 1)
     slot2 = [f(i, j, k, 2, n) for i in r for j in r for k in r for f in (label_cand, label_dup)]
     mids = sorted(map(mid_copy, slot2), reverse=True)
@@ -314,11 +324,9 @@ def reduce_graph(
     """
     if g.n < 4:
         raise ValueError("reduction expects at least 4 vertices")
-    if g.m < g.n:
-        return Infeasible(f"{g.m} edges cannot cover {g.n} vertices")
-    low = g.low_degree_vertex()
-    if low:
-        return Infeasible(f"vertex {low} has degree {g.degree(low)}")
+    reason = _uncoverable(g)
+    if reason:
+        return Infeasible(reason)
     n = g.n
     # g's own sorted tuples (keys 1..n, as no degree is < 2); a rule that
     # changes a vertex writes it a new sorted one, and a deleted vertex ()

@@ -1,3 +1,5 @@
+import argparse
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from sudoku2hcp import (
     witness_cycle,
     write_cycle,
 )
-from sudoku2hcp.cli import main
+from sudoku2hcp.cli import _parser, main
 from sudoku2hcp.formats import export_graph
 from sudoku2hcp.transform import triplicate_cycle
 from _support import all_order4_solutions, peak_bytes
@@ -61,7 +63,7 @@ def test_pipeline_well_formed_puzzle(puzzle_file, capsys):
      ["convert", "-o", "g.dhcp", "--prune"],
      ["convert", "-o", "g.dhcp", "--format", "line"], ["pipeline", "--format", "line"],
      ["compress", "-o", "c.uhcp", "--journal-out", "c.journal", "--order", "4"],
-     ["recover", "--order", "4"]],
+     ["recover", "--order", "4"], ["pipeline", "--no-reduce"]],
 )
 def test_removed_options_rejected(puzzle_file, capsys, argv):
     path = puzzle_file("p.txt", "2" + "." * 15)
@@ -140,6 +142,22 @@ def test_stage_by_stage_matches_pipeline(puzzle_file, capsys, tmp_path):
     grid = parse_grid(capsys.readouterr().out)
     sols = enumerate_solutions(__import__("sudoku2hcp").parse_sudoku(PUZZLE4), 2)
     assert [grid] == sols
+
+
+def test_stage_chain_without_reduce_matches_pipeline(puzzle_file, capsys, tmp_path):
+    # pipeline always reduces; an unreduced search is the stage chain
+    # without its reduce stage
+    path = puzzle_file("p.txt", PUZZLE4)
+    d = str(tmp_path)
+    assert main(["pipeline", path]) == 0
+    piped = capsys.readouterr().out
+    assert main(["convert", path, "-o", f"{d}/g.dhcp"]) == 0
+    assert main(["undirect", f"{d}/g.dhcp", "-o", f"{d}/g.uhcp",
+                 "--journal-out", f"{d}/g.journal"]) == 0
+    assert main(["solve", f"{d}/g.uhcp", "-o", f"{d}/c.cycle"]) == 0
+    capsys.readouterr()
+    assert main(["recover", f"{d}/c.cycle", "--journal", f"{d}/g.journal"]) == 0
+    assert capsys.readouterr().out == piped
 
 
 def test_stage_chain_with_compress(puzzle_file, capsys, tmp_path):
@@ -302,3 +320,24 @@ def test_header_only_graph(puzzle_file, capsys, tmp_path, argv, rc, err):
     captured = capsys.readouterr()
     assert captured.err == err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.uhcp"]
+
+
+def test_readme_synopsis_matches_the_parser():
+    # every --option a `sudoku2hcp <cmd>` line of README's command-line
+    # synopsis names, continuation lines included, is one <cmd> accepts
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.S | re.M).group(1)
+    (commands,) = (
+        a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    named = []
+    cmd = None
+    for line in block.splitlines():
+        if line.startswith("sudoku2hcp "):
+            cmd = line.split()[1]
+        assert cmd in commands, line
+        for option in re.findall(r"--[a-z][a-z-]*", line):
+            named.append(option)
+            assert option in commands[cmd]._option_string_actions, (cmd, option)
+    assert len(named) > 10

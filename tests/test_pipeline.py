@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from math import isqrt
 
 import pytest
@@ -20,7 +21,7 @@ from sudoku2hcp import (
     validate_grid,
 )
 from sudoku2hcp import pipeline
-from sudoku2hcp.transform import undirect_without
+from sudoku2hcp.transform import Infeasible, reduce_graph, undirect_without
 from _support import (
     PUZZLE_35,
     SOLUTION_35,
@@ -30,30 +31,35 @@ from _support import (
 )
 
 
-def test_prune_off_rejects_clues(monkeypatch):
-    def build_hcp(n):
-        raise AssertionError("built a graph")
-
-    monkeypatch.setattr(pipeline, "build_hcp", build_hcp)
-    with pytest.raises(ValueError, match="prune"):
-        solve_instance(parse_sudoku("2" + "." * 15), PipelineConfig(prune=False))
+@pytest.mark.parametrize("setting", [{"prune": False}, {"seed": 1}, {"reduce": False}])
+def test_config_takes_only_a_budget(setting):
+    with pytest.raises(TypeError):
+        PipelineConfig(**setting)
 
 
-def test_prune_off_solves_a_blank_instance():
+def test_config_fixed_attributes():
+    # what the benchmark harness reads
+    config = PipelineConfig()
+    assert [f.name for f in fields(PipelineConfig)] == ["budget"]
+    assert config.prune is True
+    assert config.seed == 0
+
+
+def test_blank_instance_solved():
     inst = blank_instance(4)
-    result = solve_instance(inst, PipelineConfig(prune=False))
+    result = solve_instance(inst)
     assert result.status == "solved"
     assert result.pruned_arcs == 0
     assert validate_grid(inst, result.grid) == []
 
 
-def test_grid_validated_with_prune_off(monkeypatch):
-    # a recovered grid that breaks the rules is an internal error whatever
-    # the config, not a solution
+def test_grid_validated(monkeypatch):
+    # a recovered grid that breaks the rules is an internal error, not a
+    # solution
     bad = Grid.from_rows([(1, 2, 3, 4)] * 4)
     monkeypatch.setattr(pipeline, "recover_solution", lambda cycle, n: bad)
     with pytest.raises(RuntimeError, match="violates"):
-        solve_instance(blank_instance(4), PipelineConfig(prune=False))
+        solve_instance(blank_instance(4))
 
 
 def _thinning(grid: Grid, count: int, rng: random.Random) -> SudokuInstance:
@@ -64,7 +70,7 @@ def _thinning(grid: Grid, count: int, rng: random.Random) -> SudokuInstance:
 
 
 class TestDerivedEncoding:
-    """solve_instance derives a clued puzzle's graphs from the cached blank
+    """solve_instance derives a puzzle's graphs from the cached blank
     encoding by deletion, unless it is the first puzzle of its order; either
     way they must be stored exactly as the stage chain build -> prune ->
     undirect stores them."""
@@ -76,6 +82,11 @@ class TestDerivedEncoding:
             "undirect_without",
             lambda g, arcs: derived.append(inst) or undirect_without(g, arcs),
         )
+        # the graph that enters reduction is the derived triplication itself
+        entered = []
+        monkeypatch.setattr(
+            pipeline, "reduce_graph", lambda g: entered.append(g) or reduce_graph(g)
+        )
         pipeline._blank_encoding.cache_clear()
         rng = random.Random(1111)
         sols = all_order4_solutions()
@@ -84,9 +95,7 @@ class TestDerivedEncoding:
         solution = parse_grid(SOLUTION_35)
         instances += [_thinning(solution, count, rng) for count in (17, 30, 60)]
         instances.append(blank_instance(4))  # back to order 4 after order 9
-        # no reduction and a one-node budget: final_graph is the graph that
-        # entered the search, the derived triplication itself
-        config = PipelineConfig(reduce=False, budget=SolveBudget(max_nodes=1))
+        config = PipelineConfig(budget=SolveBudget(max_nodes=1))
         for inst in instances:
             res = solve_instance(inst, config)
             directed, pruned = prune_fixed(build_hcp(inst.order), inst)
@@ -94,11 +103,17 @@ class TestDerivedEncoding:
             assert res.pruned_arcs == pruned
             assert export_graph(res.directed) == export_graph(directed)
             assert storage(res.directed) == storage(directed)
-            assert export_graph(res.final_graph) == export_graph(graph)
-            assert storage(res.final_graph) == storage(graph)
-            assert res.lifter == lifter
-        # every clued puzzle but the first of its order's run is derived:
-        # PUZZLE_35, the first 4x4 thinning and the first 9x9 one are not
+            assert export_graph(entered[-1]) == export_graph(graph)
+            assert storage(entered[-1]) == storage(graph)
+            reduced = reduce_graph(graph)
+            if isinstance(reduced, Infeasible):
+                assert res.lifter == lifter
+            else:
+                assert res.lifter == lifter + reduced[1]
+        assert len(entered) == len(instances)
+        # every puzzle but the first of its order's run is derived:
+        # the blank 4x4s, PUZZLE_35, the first 4x4 thinning and the first
+        # 9x9 one are not
         assert derived == instances[3:22] + instances[23:25]
 
     def test_lone_puzzle_is_not_derived(self, monkeypatch):
@@ -119,7 +134,10 @@ class TestDerivedEncoding:
         cached = pipeline._blank_encoding(4)
         directed = cached.directed
         graph, lifter = cached.triplication
-        assert blank.directed is directed
+        # a blank puzzle is pruned or derived like any other, and its
+        # result holds graphs of its own
+        assert blank.directed is not directed
+        assert blank.final_graph is not graph
         rng = random.Random(2222)
         sols = all_order4_solutions()
         for _ in range(10):
@@ -130,6 +148,22 @@ class TestDerivedEncoding:
         assert storage(directed) == want_directed
         assert storage(graph) == want_graph
         assert lifter == undirect(build_hcp(4))[1]
+
+    def test_blank_after_a_clued_puzzle_is_derived(self, monkeypatch):
+        derived = []
+        monkeypatch.setattr(
+            pipeline,
+            "undirect_without",
+            lambda g, arcs: derived.append(g) or undirect_without(g, arcs),
+        )
+        pipeline._blank_encoding.cache_clear()
+        assert solve_instance(parse_sudoku("1...2..3......2.")).status == "solved"
+        blank = solve_instance(blank_instance(4))
+        assert blank.status == "solved" and blank.pruned_arcs == 0
+        cached = pipeline._blank_encoding(4)
+        assert len(derived) == 1 and derived[0] is cached.triplication[0]
+        kept = {id(cached.directed), id(cached.triplication[0])}
+        assert kept.isdisjoint(map(id, (blank.directed, blank.final_graph)))
 
 
 def test_differential_against_enumeration():
