@@ -7,7 +7,7 @@ with an arc or edge, so memory follows those and not n.  The public
 constructors sort their input once and check it: ids in range, no
 self-loops, no duplicate arcs or edges.  A graph that a transform derives
 from an already checked graph, where the transform itself keeps it simple
-and sorted (deleting arcs or edges, the triplication, compression,
+and sorted (deleting arcs, the triplication, compression,
 reduction), is stored as given through the private `_derived`.  Instances
 are treated as immutable; transforms return new graphs.
 """
@@ -36,27 +36,6 @@ def _sorted_adjacency(lists: dict, n: int, kind: str) -> dict[int, tuple[int, ..
             dup = next(a for a, b in zip(vs, vs[1:]) if a == b)
             raise ValueError(f"duplicate {kind} ({u}, {dup})")
         out[u] = tuple(vs)
-    return out
-
-
-def _filtered(
-    adj: dict[int, tuple[int, ...]], gone: dict[int, set[int]], kind: str
-) -> dict[int, tuple[int, ...]]:
-    """A copy of adj with the values in gone[u] filtered out of u's tuple,
-    which stays sorted; a key left with an empty tuple is dropped, and the
-    tuples of keys not in gone are shared.  Every value must be listed,
-    else ValueError names the smallest (u, v) that is not."""
-    out = dict(adj)
-    for u, drop in gone.items():
-        have = out.get(u, ())
-        kept = tuple(filterfalse(drop.__contains__, have))
-        if len(have) - len(kept) != len(drop):
-            pair = min((t, v) for t, vs in gone.items() for v in vs if v not in adj.get(t, ()))
-            raise ValueError(f"{kind} {pair} not in graph")
-        if kept:
-            out[u] = kept
-        else:
-            del out[u]
     return out
 
 
@@ -109,7 +88,17 @@ class DirectedGraph:
         gone: dict[int, set[int]] = defaultdict(set)
         for u, v in removed:
             gone[u].add(v)
-        succ = _filtered(self._succ, gone, "arc")
+        succ = dict(self._succ)
+        for u, drop in gone.items():
+            have = succ.get(u, ())
+            kept = tuple(filterfalse(drop.__contains__, have))
+            if len(have) - len(kept) != len(drop):
+                arc = min((t, v) for t, vs in gone.items() for v in vs if not self.has_arc(t, v))
+                raise ValueError(f"arc {arc} not in graph")
+            if kept:
+                succ[u] = kept
+            else:
+                del succ[u]
         return DirectedGraph._derived(self.n, self.m - sum(map(len, gone.values())), succ)
 
     def __eq__(self, other):
@@ -180,19 +169,6 @@ class UndirectedGraph:
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
-
-    def without_edges(self, removed: Iterable[tuple[int, int]]) -> "UndirectedGraph":
-        """New graph with the given edges removed; all must be present, and
-        a missing one raises ValueError naming the smallest as (min, max).
-        An edge given twice, in either orientation, is removed once.  Each
-        touched vertex's tuple is filtered, so it stays sorted, and dropped
-        once it is empty; untouched tuples are shared with this graph."""
-        gone: dict[int, set[int]] = defaultdict(set)
-        for a, b in removed:
-            gone[a].add(b)
-            gone[b].add(a)
-        adj = _filtered(self._adj, gone, "edge")
-        return UndirectedGraph._derived(self.n, self.m - sum(map(len, gone.values())) // 2, adj)
 
     def __eq__(self, other):
         return (

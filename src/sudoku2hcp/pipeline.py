@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .construct import build_hcp, prune_fixed, recover_solution, redundant_arcs
+from .construct import build_hcp, prune_fixed, recover_solution
 from .graphs import DirectedGraph, UndirectedGraph
 from .solve import SolveBudget, SolveOutcome, solve_hcp, verify_cycle
 from .sudoku import Grid, SudokuInstance, validate_grid
-from .transform import CycleLifter, Infeasible, reduce_graph, undirect, undirect_without
+from .transform import CycleLifter, Infeasible, reduce_graph, undirect
 
 
 @dataclass
@@ -42,27 +42,11 @@ class PipelineResult:
     reason: str | None = None
 
 
-class _BlankEncoding:
-    """The blank encoding of one order, kept for the next puzzle of it.
-
-    Its triplication is made for the second puzzle of the order.  Until
-    then a puzzle is pruned and triplicated as the stage chain does it, so
-    a lone puzzle costs what it cost without the cache: triplicating the
-    blank encoding for one puzzle and deleting from it costs more than
-    triplicating the pruned graph."""
-
-    def __init__(self, order: int):
-        self.directed = build_hcp(order)
-        self.seen = False
-
-    @cached_property
-    def triplication(self) -> tuple[UndirectedGraph, CycleLifter]:
-        return undirect(self.directed)
-
-
 @lru_cache(maxsize=1)
-def _blank_encoding(order: int) -> _BlankEncoding:
-    return _BlankEncoding(order)
+def _blank_encoding(order: int) -> DirectedGraph:
+    """The blank encoding of the last order asked for, kept for its next
+    puzzle."""
+    return build_hcp(order)
 
 
 def solve_instance(
@@ -76,28 +60,17 @@ def solve_instance(
     checked against the encoding graph and the instance before it is
     returned.
 
-    The blank encoding and its triplication depend only on the order, so
-    the last order's are kept (see _BlankEncoding), and a later instance
-    of that order, blank or clued, derives its graphs from them by
-    deletion (without_arcs, undirect_without).  The graphs equal those of
+    The blank encoding depends only on the order, so the last order's is
+    kept (_blank_encoding) and built once for a run of puzzles of one
+    order.  Every puzzle, blank or clued, is then pruned and triplicated
+    as the stage chain does it: the graphs are those of
     undirect(prune_fixed(build_hcp(n), instance)).
     """
     if config is None:
         config = PipelineConfig()
     n = instance.order
-    blank = _blank_encoding(n)
-    if not blank.seen:
-        directed, pruned_arcs = prune_fixed(blank.directed, instance)
-        graph, lifter = undirect(directed)
-    else:
-        # clue order, duplicates and all: both deletions take an arc given
-        # twice once, and a hashed set's order made them slower at order 16
-        removed = list(redundant_arcs(instance))
-        directed = blank.directed.without_arcs(removed)
-        pruned_arcs = blank.directed.m - directed.m
-        graph, lifter = blank.triplication
-        graph = undirect_without(graph, removed)
-    blank.seen = True
+    directed, pruned_arcs = prune_fixed(_blank_encoding(n), instance)
+    graph, lifter = undirect(directed)
 
     reduced = reduce_graph(graph)
     if isinstance(reduced, Infeasible):

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, pairwise
-from typing import Callable, Iterable
+from typing import Callable
 
 from .graphs import DirectedGraph, UndirectedGraph
 from .labels import label_cand, label_dup, order_for_vertex_count, vertex_count
@@ -188,17 +188,6 @@ def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
         adj[o] = tuple(far)
     graph = UndirectedGraph._derived(3 * n, 2 * n + g.m, adj)
     return graph, CycleLifter((Triplication(n),))
-
-
-def undirect_without(
-    graph: UndirectedGraph, arcs: Iterable[tuple[int, int]]
-) -> UndirectedGraph:
-    """What undirect gives for a directed graph g without the given arcs,
-    derived from graph, undirect's result for g itself, by deleting each
-    arc (u, v)'s edge (out-copy of u, in-copy of v).  The journal does not
-    change.  An arc given twice is removed once; one g lacks raises
-    ValueError naming the smallest missing edge."""
-    return graph.without_edges((out_copy(u), in_copy(v)) for u, v in arcs)
 
 
 def triplicate_cycle(cycle: list[int]) -> list[int]:

@@ -15,7 +15,6 @@ from _support import (
     PUZZLE_35,
     peak_bytes,
     random_directed_arcs,
-    random_undirected,
     storage,
 )
 
@@ -153,46 +152,3 @@ class TestWithoutArcs:
         # pruning twice finds every arc missing, and names the smallest
         with pytest.raises(ValueError, match=rf"arc \({min(gone)[0]}, {min(gone)[1]}\) not"):
             prune_fixed(pruned, inst)
-
-
-class TestWithoutEdges:
-    # the undirected twin of without_arcs, through the same filter
-
-    def test_matches_constructor_on_random_graphs(self):
-        rng = random.Random(73)
-        emptied = 0
-        for _ in range(400):
-            n = rng.randint(1, 10)
-            g = random_undirected(rng, n, rng.choice((0.2, 0.5, 0.9)))
-            edges = list(g.edges())
-            gone = rng.sample(edges, rng.randint(0, len(edges)))
-            # some given twice, and each in a random orientation
-            given = [e if rng.random() < 0.5 else e[::-1]
-                     for e in gone + rng.sample(gone, len(gone) // 3)]
-            h = g.without_edges(shuffled(given, rng.randrange(10**6)))
-            kept = set(edges).difference(gone)
-            assert storage(h) == storage(UndirectedGraph(n, kept))
-            assert list(g.edges()) == edges
-            ends = {v for e in gone for v in e}
-            for v, nbrs in h._adj.items():
-                if v not in ends:
-                    assert nbrs is g._adj[v]
-            emptied += any(v not in h._adj for v in ends)
-        assert emptied >= 50
-
-    def test_vertex_that_loses_every_edge_is_dropped(self):
-        g = UndirectedGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4), (2, 4)])
-        h = g.without_edges([(3, 1), (1, 2)])
-        want = UndirectedGraph(4, [(2, 3), (3, 4), (2, 4)])
-        assert storage(h) == storage(want) and h == want
-        assert list(h._adj) == [2, 3, 4]
-
-    def test_missing_edge_names_the_smallest(self):
-        g = UndirectedGraph(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
-        with pytest.raises(ValueError, match=r"edge \(2, 5\) not in graph"):
-            g.without_edges([(5, 4), (1, 2), (5, 2), (2, 3), (4, 3)])
-        with pytest.raises(ValueError, match=r"edge \(1, 4\) not in graph"):
-            g.without_edges([(4, 1), (1, 4)])
-        with pytest.raises(ValueError, match=r"edge \(3, 3\) not in graph"):
-            g.without_edges([(3, 3)])
-        assert g.m == 4 and list(g.edges()) == [(1, 2), (1, 3), (2, 3), (4, 5)]

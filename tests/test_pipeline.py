@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from sudoku2hcp import (
+    DirectedGraph,
     Grid,
     PipelineConfig,
     SolveBudget,
@@ -21,7 +22,7 @@ from sudoku2hcp import (
     validate_grid,
 )
 from sudoku2hcp import pipeline
-from sudoku2hcp.transform import Infeasible, reduce_graph, undirect_without
+from sudoku2hcp.transform import Infeasible, reduce_graph
 from _support import (
     PUZZLE_35,
     SOLUTION_35,
@@ -70,19 +71,18 @@ def _thinning(grid: Grid, count: int, rng: random.Random) -> SudokuInstance:
 
 
 class TestDerivedEncoding:
-    """solve_instance derives a puzzle's graphs from the cached blank
-    encoding by deletion, unless it is the first puzzle of its order; either
-    way they must be stored exactly as the stage chain build -> prune ->
+    """solve_instance prunes and triplicates every puzzle from the cached
+    blank encoding, whether it is the first of its order or not, so its
+    graphs must be stored exactly as the stage chain build -> prune ->
     undirect stores them."""
 
     def test_matches_the_stage_chain(self, monkeypatch):
-        derived = []
+        # each puzzle is triplicated once, from its own pruned graph
+        triplicated = []
         monkeypatch.setattr(
-            pipeline,
-            "undirect_without",
-            lambda g, arcs: derived.append(inst) or undirect_without(g, arcs),
+            pipeline, "undirect", lambda g: triplicated.append(g) or undirect(g)
         )
-        # the graph that enters reduction is the derived triplication itself
+        # the graph that enters reduction is that triplication itself
         entered = []
         monkeypatch.setattr(
             pipeline, "reduce_graph", lambda g: entered.append(g) or reduce_graph(g)
@@ -96,8 +96,9 @@ class TestDerivedEncoding:
         instances += [_thinning(solution, count, rng) for count in (17, 30, 60)]
         instances.append(blank_instance(4))  # back to order 4 after order 9
         config = PipelineConfig(budget=SolveBudget(max_nodes=1))
-        for inst in instances:
+        for count, inst in enumerate(instances, 1):
             res = solve_instance(inst, config)
+            assert len(triplicated) == count and triplicated[-1] is res.directed
             directed, pruned = prune_fixed(build_hcp(inst.order), inst)
             graph, lifter = undirect(directed)
             assert res.pruned_arcs == pruned
@@ -111,59 +112,65 @@ class TestDerivedEncoding:
             else:
                 assert res.lifter == lifter + reduced[1]
         assert len(entered) == len(instances)
-        # every puzzle but the first of its order's run is derived:
-        # the blank 4x4s, PUZZLE_35, the first 4x4 thinning and the first
-        # 9x9 one are not
-        assert derived == instances[3:22] + instances[23:25]
-
-    def test_lone_puzzle_is_not_derived(self, monkeypatch):
-        # the first puzzle of an order triplicates its own pruned graph,
-        # as the stage chain does, and not the blank encoding
-        made = []
-        monkeypatch.setattr(pipeline, "undirect", lambda g: made.append(g.m) or undirect(g))
-        monkeypatch.setattr(pipeline, "undirect_without", None)
-        pipeline._blank_encoding.cache_clear()
-        res = solve_instance(parse_sudoku(PUZZLE_35))
-        assert res.status == "solved"
-        assert made == [res.directed.m] and res.pruned_arcs > 0
+        # a blank puzzle after a clued one of its order prunes nothing, and
+        # its result holds a graph of its own, not the kept one
+        assert solve_instance(parse_sudoku("1...2..3......2.")).status == "solved"
+        blank = solve_instance(blank_instance(4))
+        assert blank.status == "solved" and blank.pruned_arcs == 0
+        assert triplicated[-1] is blank.directed
+        assert blank.directed is not pipeline._blank_encoding(4)
 
     def test_cached_graphs_stay_unchanged(self):
-        want_directed = storage(build_hcp(4))
-        want_graph = storage(undirect(build_hcp(4))[0])
+        want = storage(build_hcp(4))
         blank = solve_instance(blank_instance(4))
         cached = pipeline._blank_encoding(4)
-        directed = cached.directed
-        graph, lifter = cached.triplication
-        # a blank puzzle is pruned or derived like any other, and its
-        # result holds graphs of its own
-        assert blank.directed is not directed
-        assert blank.final_graph is not graph
+        assert isinstance(cached, DirectedGraph)
+        assert blank.directed is not cached
         rng = random.Random(2222)
         sols = all_order4_solutions()
         for _ in range(10):
             res = solve_instance(_thinning(rng.choice(sols), rng.randint(1, 6), rng))
             assert res.status == "solved"
-            assert res.directed is not directed
+            assert res.directed is not cached
         assert pipeline._blank_encoding(4) is cached
-        assert storage(directed) == want_directed
-        assert storage(graph) == want_graph
-        assert lifter == undirect(build_hcp(4))[1]
+        assert storage(cached) == want
 
-    def test_blank_after_a_clued_puzzle_is_derived(self, monkeypatch):
-        derived = []
-        monkeypatch.setattr(
-            pipeline,
-            "undirect_without",
-            lambda g, arcs: derived.append(g) or undirect_without(g, arcs),
-        )
-        pipeline._blank_encoding.cache_clear()
-        assert solve_instance(parse_sudoku("1...2..3......2.")).status == "solved"
-        blank = solve_instance(blank_instance(4))
-        assert blank.status == "solved" and blank.pruned_arcs == 0
-        cached = pipeline._blank_encoding(4)
-        assert len(derived) == 1 and derived[0] is cached.triplication[0]
-        kept = {id(cached.directed), id(cached.triplication[0])}
-        assert kept.isdisjoint(map(id, (blank.directed, blank.final_graph)))
+
+def _pattern_grid(order: int) -> Grid:
+    """The solved grid whose row r (0-based) is the first row shifted by
+    b * (r mod b) + r // b, for box side b."""
+    b = isqrt(order)
+    return Grid(order, tuple(
+        tuple((b * (r % b) + r // b + c) % order + 1 for c in range(order))
+        for r in range(order)
+    ))
+
+
+def test_order16_run_matches_the_stage_chain(monkeypatch):
+    # three 16x16 thinnings in a row: the second and third reuse the kept
+    # blank encoding, and every graph is the stage chain's
+    entered = []
+    monkeypatch.setattr(
+        pipeline, "reduce_graph", lambda g: entered.append(g) or reduce_graph(g)
+    )
+    pipeline._blank_encoding.cache_clear()
+    blank = build_hcp(16)
+    rng = random.Random(1616)
+    grid = _pattern_grid(16)
+    assert validate_grid(blank_instance(16), grid) == []
+    for count in (220, 200, 180):
+        inst = _thinning(grid, count, rng)
+        res = solve_instance(inst)
+        assert res.status == "solved" and res.grid == grid
+        directed, pruned = prune_fixed(blank, inst)
+        graph, _ = undirect(directed)
+        assert res.pruned_arcs == pruned
+        assert storage(res.directed) == storage(directed)
+        assert storage(entered[-1]) == storage(graph)
+    assert pipeline._blank_encoding.cache_info().misses == 1
+    cached = pipeline._blank_encoding(16)
+    assert isinstance(cached, DirectedGraph)
+    assert storage(cached) == storage(blank)
 
 
 def test_differential_against_enumeration():
@@ -219,14 +226,9 @@ def _clashing_free_change(inst: SudokuInstance, rng: random.Random) -> SudokuIns
     return inst
 
 
-def test_differential_9x9_against_enumeration(monkeypatch):
+def test_differential_9x9_against_enumeration():
     # thinnings of relabelled copies of SOLUTION_35 at 28-40 clues, some
-    # with a clue changed so that they may have no solution; the first
-    # puzzle of the run is pruned and triplicated, the others derived
-    derived = []
-    monkeypatch.setattr(
-        pipeline, "undirect_without", lambda g, arcs: derived.append(1) or undirect_without(g, arcs)
-    )
+    # with a clue changed so that they may have no solution
     rng = random.Random(9090)
     solution = parse_grid(SOLUTION_35)
     instances = []
@@ -245,6 +247,5 @@ def test_differential_9x9_against_enumeration(monkeypatch):
             assert res.status == "unsat"
             assert oracle == []
         seen[res.status] += 1
-    assert len(derived) == len(instances) - 1
     # the seed gives 19 solved, 5 refuted by the search and 1 by reduce
     assert seen["unsat"] >= 1, seen

@@ -32,11 +32,13 @@ from _support import (
     EdgeDeletion,
     PairContraction,
     all_order4_solutions,
+    all_undirected_hamiltonian_cycles,
     brute_directed_hamiltonian,
     brute_undirected_hamiltonian,
     pair_records,
     peak_bytes,
     random_directed_arcs,
+    random_undirected,
     reduce_graph_by_passes,
     storage,
     well_formed_order4,
@@ -418,6 +420,71 @@ class TestReduce:
             assert verify_cycle(pruned, directed)
             assert recover_solution(directed, 4) == sol
 
+
+
+def canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
+    """cycle as all_undirected_hamiltonian_cycles lists it: from vertex 1,
+    in the direction whose second vertex is smaller than its last."""
+    k = cycle.index(1)
+    c = cycle[k:] + cycle[:k]
+    if c[1] > c[-1]:
+        c = [c[0]] + c[:0:-1]
+    return tuple(c)
+
+
+def check_lift_of_reduce(g: UndirectedGraph):
+    """reduce_graph(g) against brute force: Infeasible only when g has no
+    Hamiltonian cycle, and otherwise lifting every Hamiltonian cycle of the
+    reduced graph gives every one of g's, each once.  Returns the answer."""
+    want = all_undirected_hamiltonian_cycles(g.n, g.edges())
+    out = reduce_graph(g)
+    if isinstance(out, Infeasible):
+        assert want == [], (list(g.edges()), out.reason)
+        return out
+    reduced, lifter = out
+    lifted = [
+        canonical_cycle(lift_cycle(lifter, list(c)))
+        for c in all_undirected_hamiltonian_cycles(reduced.n, reduced.edges())
+    ]
+    assert len(set(lifted)) == len(lifted)
+    assert set(lifted) == set(want), list(g.edges())
+    return out
+
+
+class TestLiftOfReduceAgainstBruteForce:
+    def test_random_graphs(self):
+        rng = random.Random(5151)
+        infeasible = shrunk = 0
+        for _ in range(600):
+            n = rng.randint(4, 9)
+            out = check_lift_of_reduce(random_undirected(rng, n, rng.choice((0.3, 0.5, 0.7))))
+            if isinstance(out, Infeasible):
+                infeasible += 1
+            else:
+                shrunk += out[0].n < n
+        # the seed gives 356 infeasible graphs and 244 compared, 44 of
+        # them shrunk
+        assert 200 < infeasible < 500 and shrunk > 20, (infeasible, shrunk)
+
+    def test_rings_with_chords(self):
+        # a Hamiltonian ring and up to n chords: many degree-2 vertices,
+        # so both rules fire and every graph has a cycle to lift
+        rng = random.Random(6262)
+        shrunk = deleted = 0
+        for _ in range(600):
+            n = rng.randint(4, 9)
+            ring = rng.sample(range(1, n + 1), n)
+            edges = {(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])}
+            for _ in range(rng.randint(0, n)):
+                a, b = rng.sample(range(1, n + 1), 2)
+                edges.add((min(a, b), max(a, b)))
+            g = UndirectedGraph(n, sorted(edges))
+            reduced, _ = check_lift_of_reduce(g)
+            shrunk += reduced.n < n
+            # a contraction keeps m - n, a rule-2 deletion lowers it
+            deleted += reduced.m - reduced.n < g.m - g.n
+        # the seed gives 469 shrunk and 279 with deletions
+        assert shrunk > 300 and deleted > 150, (shrunk, deleted)
 
 def reduce_text(out):
     """What reduce_graph's answer pins: the Infeasible reason, or the
