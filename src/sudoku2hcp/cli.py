@@ -33,7 +33,9 @@ OK, UNSAT, BUDGET, INPUT_ERROR = 0, 1, 2, 3
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
+    """The file's text.  It is decoded as UTF-8, so that a digit of another
+    script reaches the reader, which names the line it is on."""
+    with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 

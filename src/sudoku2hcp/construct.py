@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import chain
+from math import isqrt
+from operator import contains, itemgetter, lt
 
 from .graphs import DirectedGraph
 from .labels import (
@@ -52,105 +54,95 @@ def build_hcp(order: int) -> DirectedGraph:
     """Directed encoding graph for a blank puzzle of the given order.
 
     The graph has 6N^3 + 5N^2 + 2N + 2 vertices and
-    19N^3 + 2N^2 + 2N + 2 arcs.
+    19N^3 + 2N^2 + 2N + 2 arcs.  Every vertex has an arc out, so the graph
+    is stored as one ascending successor tuple per vertex, made by label
+    arithmetic family by family in label order (_successor_tuples).  They
+    are checked here instead of regrouped and re-sorted by the checking
+    constructor: one tuple per vertex, ids in range, no self-loop, each
+    strictly ascending (so no arc twice), and the arc count.
     """
     _check_order(order)
     n = order
-    rng = range(1, n + 1)
-    arcs: list[tuple[int, int]] = []
-    add = arcs.append
+    total = vertex_count(n)
+    succ = _successor_tuples(n)
+    if len(succ) != total:
+        raise RuntimeError(f"internal error: {len(succ)} successor tuples for {total} vertices")
+    # each tuple's ids but its last against the id after each in the tuple
+    before = chain.from_iterable(map(itemgetter(slice(None, -1)), succ))
+    after = chain.from_iterable(map(itemgetter(slice(1, None)), succ))
+    if not all(map(lt, before, after)):
+        raise RuntimeError("internal error: a successor tuple is not strictly ascending")
+    if min(map(itemgetter(0), succ)) < 1 or max(map(itemgetter(-1), succ)) > total:
+        raise RuntimeError(f"internal error: a successor out of range 1..{total}")
+    if any(map(contains, succ, range(1, total + 1))):
+        raise RuntimeError("internal error: a self-loop")
+    m = sum(map(len, succ))
+    if m != arc_count(n):
+        raise RuntimeError(f"internal error: built {m} arcs, expected {arc_count(n)}")
+    return DirectedGraph._derived(total, m, dict(enumerate(succ, 1)))
 
-    # entry, exit and the closing arc
-    add((START, label_block(1, 1, n)))
-    add((label_col_end(n, n), FINISH))
-    add((FINISH, START))
 
-    # committing value k in block a enters the chosen cell's triple at k+1
-    for a in rng:
-        cells = cells_of_block(a, n)
-        for k in rng:
-            nk = _wrap(k + 1, n)
-            for i, j in cells:
-                add((label_block(a, k, n), label_cand(i, j, nk, 1, n)))
+def _successor_tuples(n: int) -> list[tuple[int, ...]]:
+    """Each vertex's successors as an ascending tuple, in label order."""
+    r = range(1, n + 1)
+    succ: list[tuple[int, ...]] = [(label_block(1, 1, n),), (START,)]
+    # block (a, k) commits value k at a cell of block a, entering that
+    # cell's triple of value k+1 at slot 1
+    for a in r:
+        cells = [label_cand(i, j, 1, 1, n) for i, j in cells_of_block(a, n)]
+        succ += [tuple([x + 3 * (k % n) for x in cells]) for k in r]
+    # row (i, k) collects value k's triple, at slot 3, in any column of row i
+    for i in r:
+        succ += [tuple(range(label_cand(i, 1, k, 3, n), label_cand(i, n, k, 3, n) + 1, 3 * n))
+                 for k in r]
+    succ += [(label_row(i + 1, 1, n),) for i in range(1, n)] + [(label_col(1, 1, n),)]
+    # col (j, k) does the same over the duplicate copies of column j
+    for j in r:
+        succ += [tuple(range(label_dup(1, j, k, 3, n), label_dup(n, j, k, 3, n) + 1, 3 * n * n))
+                 for k in r]
+    succ += [(label_col(j + 1, 1, n),) for j in range(1, n)] + [(FINISH,)]
+    # a commit of value k exits the first copy at slot 3 of value k-1 and
+    # lands on the duplicate copy's value k+1
+    cells = [(i, j) for i in r for j in r]
+    hops = []
+    for i, j in cells:
+        dups = range(label_dup(i, j, 1, 1, n), label_dup(i, j, n, 1, n) + 1, 3)
+        hops.append([*dups[2:], *dups[:2]])
+    ends = range(label_cell_end(1, 1, n), label_cell_end(n, n, n) + 1)
+    succ += _triples(label_cand(1, 1, 1, 1, n), n, ends, hops)
+    # cell_end (i, j) goes back to row i at any value, or on to its end
+    for i in r:
+        succ += [(*range(label_row(i, 1, n), label_row(i, n, n) + 1), label_row_end(i, n))] * n
+    # and the duplicate copy returns to the block machinery: value n-1
+    # finishes its block and moves to the next, or the last hands over to
+    # the rows
+    returns = {}
+    for a in r:
+        returns[a] = [label_block(a, _wrap(k + 2, n), n) for k in r]
+        returns[a][n - 2] = label_block(a + 1, 1, n) if a < n else label_row(1, 1, n)
+    hops = [returns[block_of(i, j, n)] for i, j in cells]
+    ends = range(label_dup_end(1, 1, n), label_dup_end(n, n, n) + 1)
+    succ += _triples(label_dup(1, 1, 1, 1, n), n, ends, hops)
+    # dup_end (i, j) goes back to column j at any value, or on to its end
+    succ += [(*range(label_col(j, 1, n), label_col(j, n, n) + 1), label_col_end(j, n))
+             for j in r] * n
+    return succ
 
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                x1 = label_cand(i, j, k, 1, n)
-                x2 = x1 + 1
-                x3 = x1 + 2
-                # slot 2 is walkable in both directions inside a triple
-                add((x1, x2))
-                add((x2, x1))
-                add((x2, x3))
-                add((x3, x2))
-                # triple-to-triple chain through the values of one cell
-                add((x3, label_cand(i, j, _wrap(k + 1, n), 1, n)))
-                y1 = label_dup(i, j, k, 1, n)
-                y2 = y1 + 1
-                y3 = y1 + 2
-                add((y1, y2))
-                add((y2, y1))
-                add((y2, y3))
-                add((y3, y2))
-                add((y3, label_dup(i, j, _wrap(k + 1, n), 1, n)))
-                # hop from the first copy to the duplicate copy; a commit of
-                # value k exits at slot 3 of value k-1 and lands on k+1
-                add((label_cand(i, j, k, 3, n), label_dup(i, j, _wrap(k + 2, n), 1, n)))
 
-    # return hops from the duplicate copy back to the block machinery
-    for i in rng:
-        for j in rng:
-            a = block_of(i, j, n)
-            for k in rng:
-                if k == n - 1:
-                    continue
-                add((label_dup(i, j, k, 3, n), label_block(a, _wrap(k + 2, n), n)))
-            src = label_dup(i, j, n - 1, 3, n)
-            if a < n:
-                # committing value n finishes block a, move to the next block
-                add((src, label_block(a + 1, 1, n)))
-            else:
-                # committing value n in the last block hands over to the rows
-                add((src, label_row(1, 1, n)))
-
-    # row sweep: collect the committed triple of value k somewhere in row i
-    for i in rng:
-        for k in rng:
-            rv = label_row(i, k, n)
-            for j in rng:
-                add((rv, label_cand(i, j, k, 3, n)))
-    for i in rng:
-        for j in rng:
-            ve = label_cell_end(i, j, n)
-            for k in rng:
-                add((label_cand(i, j, k, 1, n), ve))
-                add((ve, label_row(i, k, n)))
-            add((ve, label_row_end(i, n)))
-    for i in range(1, n):
-        add((label_row_end(i, n), label_row(i + 1, 1, n)))
-    add((label_row_end(n, n), label_col(1, 1, n)))
-
-    # column sweep over the duplicate copies
-    for j in rng:
-        for k in rng:
-            cv = label_col(j, k, n)
-            for i in rng:
-                add((cv, label_dup(i, j, k, 3, n)))
-    for i in rng:
-        for j in rng:
-            we = label_dup_end(i, j, n)
-            for k in rng:
-                add((label_dup(i, j, k, 1, n), we))
-                add((we, label_col(j, k, n)))
-            add((we, label_col_end(j, n)))
-    for j in range(1, n):
-        add((label_col_end(j, n), label_col(j + 1, 1, n)))
-
-    g = DirectedGraph(vertex_count(n), arcs)
-    if g.m != arc_count(n):
-        raise RuntimeError(f"internal error: built {g.m} arcs, expected {arc_count(n)}")
-    return g
+def _triples(first: int, n: int, ends: range, hops: list[list[int]]) -> list[tuple[int, ...]]:
+    """Successor tuples of one copy's candidate triples (cand or dup), cell
+    by cell from label `first`, the first cell's slot 1 of value 1.  Slot 1
+    goes to slot 2 and the cell's end vertex, slot 2 to slots 1 and 3
+    (walkable both ways), and slot 3 to slot 2, the next value's slot 1
+    (value n wraps to 1) and the cell's hop for that value, hops[cell][k-1],
+    which lies outside the copy: above it for cand, below it for dup."""
+    out: list[tuple[int, ...]] = []
+    for c, (end, hop) in enumerate(zip(ends, hops)):
+        xs = range(first + 3 * n * c, first + 3 * n * (c + 1), 3)
+        for x, nxt, h in zip(xs, [*xs[1:], xs[0]], hop):
+            walk = (x + 1, nxt) if nxt > x else (nxt, x + 1)
+            out += ((x + 1, end), (x, x + 2), (*walk, h) if h > x else (h, *walk))
+    return out
 
 
 def clue_redundant_arcs(order: int, i: int, j: int, k: int) -> list[tuple[int, int]]:
@@ -160,60 +152,65 @@ def clue_redundant_arcs(order: int, i: int, j: int, k: int) -> list[tuple[int, i
     elsewhere in the block, another value here) together with their
     crossover and return hops, and the wrong row/column collections.
     A single clue's families are pairwise disjoint, so the list has
-    exactly 12N - 12 distinct entries.
+    exactly 12N - 12 distinct entries.  Each arc comes from a few base
+    labels of the clue and the layout's strides: a cell's candidates of
+    value m, slot s lie 3(m-1) + s - 1 above its first, cells 3N apart
+    along a row and 3N^2 down a column, a duplicate a fixed distance
+    above its candidate.  No label is computed per arc.
     """
     n = order
+    box = isqrt(n)
     a = block_of(i, j, n)
-    other_cells = [c for c in cells_of_block(a, n) if c != (i, j)]
-    other_values = [m for m in range(1, n + 1) if m != k]
-    out: list[tuple[int, int]] = []
+    here = label_cand(i, j, 1, 1, n)
+    corner = label_cand(i - (i - 1) % box, j - (j - 1) % box, 1, 1, n)
+    others = [corner + 3 * n * (n * di + dj) for di in range(box) for dj in range(box)]
+    others.remove(here)  # the block's other cells, by their first candidate
+    values = [m for m in range(1, n + 1) if m != k]
+    to_dup = label_dup(1, 1, 1, 1, n) - label_cand(1, 1, 1, 1, n)
+    block = label_block(a, 1, n) - 1  # block (a, m) is block + m
 
+    def at(m: int, s: int) -> int:
+        """Slot s of value m, wrapped into 1..n, from a cell's first candidate."""
+        return 3 * ((m - 1) % n) + s - 1
+
+    up, down = at(k + 1, 1), at(k - 1, 3)
     # value k committed at a different cell of the block
-    for m, p in other_cells:
-        out.append((label_block(a, k, n), label_cand(m, p, _wrap(k + 1, n), 1, n)))
+    out = [(block + k, c + up) for c in others]
     # a different value committed at this cell
-    for m in other_values:
-        out.append((label_block(a, m, n), label_cand(i, j, _wrap(m + 1, n), 1, n)))
+    out += [(block + m, here + at(m + 1, 1)) for m in values]
     # crossover hops that such wrong commits would use
-    for m, p in other_cells:
-        out.append(
-            (label_cand(m, p, _wrap(k - 1, n), 3, n), label_dup(m, p, _wrap(k + 1, n), 1, n))
-        )
-    for m in other_values:
-        out.append(
-            (label_cand(i, j, _wrap(m - 1, n), 3, n), label_dup(i, j, _wrap(m + 1, n), 1, n))
-        )
+    out += [(c + down, c + to_dup + up) for c in others]
+    out += [(here + at(m - 1, 3), here + to_dup + at(m + 1, 1)) for m in values]
     # return hops after committing k at a different cell of the block
     if k < n:
-        dst = label_block(a, k + 1, n)
+        dst = block + k + 1
     elif a < n:
         dst = label_block(a + 1, 1, n)
     else:
         dst = label_row(1, 1, n)
-    for m, p in other_cells:
-        out.append((label_dup(m, p, _wrap(k - 1, n), 3, n), dst))
+    out += [(c + to_dup + down, dst) for c in others]
     # return hops after committing another value at this cell
-    for m in other_values:
-        if m != n:
-            out.append((label_dup(i, j, _wrap(m - 1, n), 3, n), label_block(a, m + 1, n)))
+    out += [(here + to_dup + at(m - 1, 3), block + m + 1) for m in values if m != n]
     if k < n:
         last = label_block(a + 1, 1, n) if a < n else label_row(1, 1, n)
-        out.append((label_dup(i, j, n - 1, 3, n), last))
+        out.append((here + to_dup + at(n - 1, 3), last))
     # row sweep cannot find value k in another column,
     # nor another value at this cell
-    for m in range(1, n + 1):
-        if m != j:
-            out.append((label_row(i, k, n), label_cand(i, m, k, 3, n)))
-            out.append((label_cand(i, m, k, 1, n), label_cell_end(i, m, n)))
-    for m in other_values:
-        out.append((label_row(i, m, n), label_cand(i, j, m, 3, n)))
+    row_k, first, end = label_row(i, k, n), label_cand(i, 1, k, 1, n), label_cell_end(i, 1, n)
+    for p in range(n):
+        if p != j - 1:
+            x = first + 3 * n * p
+            out += ((row_k, x + 2), (x, end + p))
+    row = label_row(i, 1, n) - 1
+    out += [(row + m, here + at(m, 3)) for m in values]
     # the same two observations for the column sweep
-    for m in range(1, n + 1):
-        if m != i:
-            out.append((label_col(j, k, n), label_dup(m, j, k, 3, n)))
-            out.append((label_dup(m, j, k, 1, n), label_dup_end(m, j, n)))
-    for m in other_values:
-        out.append((label_col(j, m, n), label_dup(i, j, m, 3, n)))
+    col_k, first, end = label_col(j, k, n), label_dup(1, j, k, 1, n), label_dup_end(1, j, n)
+    for q in range(n):
+        if q != i - 1:
+            y = first + 3 * n * n * q
+            out += ((col_k, y + 2), (y, end + n * q))
+    col = label_col(j, 1, n) - 1
+    out += [(col + m, here + to_dup + at(m, 3)) for m in values]
     return out
 
 
@@ -221,8 +218,8 @@ def redundant_arcs(instance: SudokuInstance) -> Iterator[tuple[int, int]]:
     """Every clue's redundant arc family, one clue after another.  Families
     of different clues may overlap, so an arc may come more than once; the
     union holds at most 12N - 12 arcs per clue, with equality for a single
-    clue.  The arcs are made as they are consumed: on a 16x16 puzzle,
-    holding them all first made prune_fixed about 10% slower."""
+    clue.  The arcs are made as they are consumed: on 16x16 puzzles,
+    holding them all first made prune_fixed about 12% slower."""
     n = instance.order
     return chain.from_iterable(
         clue_redundant_arcs(n, i, j, k) for (i, j), k in instance.clues.items()

@@ -4,7 +4,9 @@ and graph statistics.  All writers are byte-deterministic."""
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import DirectedGraph, UndirectedGraph
 from .transform import Contraction, CycleLifter, GadgetRemoval, Triplication
@@ -14,12 +16,16 @@ def export_graph(g: DirectedGraph | UndirectedGraph) -> str:
     """Graph text format: 'DHCP n m' or 'UHCP n m', then one 'u v' line per
     arc or edge in ascending order (undirected pairs with u < v)."""
     if isinstance(g, DirectedGraph):
-        lines = [f"DHCP {g.n} {g.m}"]
-        lines.extend(f"{u} {v}" for u, v in g.arcs())
-    else:
-        lines = [f"UHCP {g.n} {g.m}"]
-        lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+        return f"DHCP {g.n} {g.m}\n" + _pair_lines(g.arcs())
+    return f"UHCP {g.n} {g.m}\n" + _pair_lines(g.edges())
+
+
+def _pair_lines(pairs: Iterable[tuple[int, int]]) -> str:
+    """One 'u v' line per pair, each ending in a newline, formatted by a
+    single % over the flat list of ids: no string is made per line, and
+    the flat tuple holds the ids the graph already has."""
+    flat = tuple(chain.from_iterable(pairs))
+    return ("%d %d\n" * (len(flat) // 2)) % flat
 
 
 def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
@@ -27,13 +33,16 @@ def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
+    odd = _odd_line(text)
     head = lines[0].split()
-    if len(head) != 3 or head[0] not in ("DHCP", "UHCP"):
+    if odd == lines[0] or len(head) != 3 or head[0] not in ("DHCP", "UHCP"):
         raise ValueError(f"bad header {lines[0]!r}")
     try:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}") from None
+    if odd is not None:
+        raise ValueError(f"bad edge line {odd!r}")
     if len(lines) - 1 != m:
         raise ValueError(f"header says {m} lines, found {len(lines) - 1}")
     pairs = []
@@ -50,6 +59,22 @@ def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
     return UndirectedGraph(n, pairs)
 
 
+def _plain(text: str) -> bool:
+    """Whether text holds nothing that int() reads in a token but a plain
+    ASCII number lacks: a digit of another script, a '+' sign or a '_'
+    between digits.  The puzzle reader rejects them too."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
+def _odd_line(text: str) -> str | None:
+    """The first non-blank line of text that is not _plain, or None.  One
+    scan of the whole text clears the common case; its lines are split
+    and looked at only when it fails."""
+    if _plain(text):
+        return None
+    return next((ln for ln in text.splitlines() if ln.strip() and not _plain(ln)), None)
+
+
 def export_tsplib_hcp(g: UndirectedGraph, name: str) -> str:
     """TSPLIB HCP stanza with an EDGE_LIST section, for external solvers.
 
@@ -59,17 +84,14 @@ def export_tsplib_hcp(g: UndirectedGraph, name: str) -> str:
     """
     if not name or not name.isprintable():
         raise ValueError(f"TSPLIB name must be non-empty and printable, got {name!r}")
-    lines = [
-        f"NAME: {name}",
-        "TYPE: HCP",
-        f"DIMENSION: {g.n}",
-        "EDGE_DATA_FORMAT: EDGE_LIST",
-        "EDGE_DATA_SECTION",
-    ]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    lines.append("-1")
-    lines.append("EOF")
-    return "\n".join(lines) + "\n"
+    head = (
+        f"NAME: {name}\n"
+        "TYPE: HCP\n"
+        f"DIMENSION: {g.n}\n"
+        "EDGE_DATA_FORMAT: EDGE_LIST\n"
+        "EDGE_DATA_SECTION\n"
+    )
+    return head + _pair_lines(g.edges()) + "-1\nEOF\n"
 
 
 def write_cycle(cycle: list[int]) -> str:
@@ -91,18 +113,24 @@ def read_cycle(text: str) -> list[int]:
     toks = lines[0].split() if lines else []
     if not toks or toks[0] != "CYCLE":
         raise ValueError("missing CYCLE header")
-    if len(toks) != 2:
+    odd = _odd_line(text)
+    if odd == lines[0] or len(toks) != 2:
         raise ValueError(f"bad header {lines[0]!r}")
     try:
         n = int(toks[1])
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}") from None
+    if odd is not None:
+        raise ValueError(f"non-integer vertex line {odd!r}")
     if len(lines) - 1 != n:
         raise ValueError(f"header says {n} vertices, found {len(lines) - 1}")
     try:
         cycle = [int(ln) for ln in lines[1:]]
     except ValueError:
-        raise ValueError("non-integer vertex line") from None
+        # int() takes what is left of a line once '+', '_' and non-ASCII
+        # text are ruled out exactly when it is digits after at most one '-'
+        bad = next(ln for ln in lines[1:] if not ln.strip().removeprefix("-").isdigit())
+        raise ValueError(f"non-integer vertex line {bad!r}") from None
     if len(set(cycle)) != n:
         raise ValueError("cycle contains repeated vertices")
     return cycle
@@ -135,6 +163,9 @@ def load_journal(text: str) -> CycleLifter:
     """Inverse of save_journal.  A line of any other kind or shape, such as
     the pair ('c', 'd') and renumbered ('G', 'C', 'D') records that older
     versions wrote, raises ValueError."""
+    odd = _odd_line(text)
+    if odd is not None:
+        raise ValueError(f"bad journal line {odd!r}")
     records = []
     for ln in text.splitlines():
         if not ln.strip():

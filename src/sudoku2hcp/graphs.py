@@ -8,8 +8,10 @@ constructors sort their input once and check it: ids in range, no
 self-loops, no duplicate arcs or edges.  A graph that a transform derives
 from an already checked graph, where the transform itself keeps it simple
 and sorted (deleting arcs, the triplication, compression,
-reduction), is stored as given through the private `_derived`.  Instances
-are treated as immutable; transforms return new graphs.
+reduction), is stored as given through the private `_derived`.  So is the
+blank encoding: build_hcp makes its successor tuples in label order by
+label arithmetic and checks them itself.  Instances are treated as
+immutable; transforms return new graphs.
 """
 
 from __future__ import annotations

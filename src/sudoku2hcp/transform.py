@@ -298,7 +298,8 @@ def reduce_graph(
     neighbours for rule 2 too: in this scan if they lie above v, in the
     next pass's otherwise.  Every vertex of a degree-2 path is then
     pending, so the rule-1 scan meets each path at its smallest id and
-    collapses it there, with one Contraction.  The passes end when nothing
+    collapses it there, with one Contraction; the path's deleted vertices
+    stop being pending, so the scan skips them.  The passes end when nothing
     is pending for rule 2.  The reduced graph and the reasons are exactly
     those of the pass-by-pass scan that visits every vertex on every pass
     (ascending ids, rule 2 before rule 1) until a pass changes nothing;
@@ -360,7 +361,7 @@ def reduce_graph(
             if len(adj[v]) == 2:
                 a, b = adj[v]
                 if len(adj[a]) == 2 or len(adj[b]) == 2:
-                    alive = _contract_path(adj, v, records, alive)
+                    alive = _contract_path(adj, v, records, alive, rule1)
                     if isinstance(alive, Infeasible):
                         return alive
             v = rule1.find(1, v + 1)
@@ -408,11 +409,12 @@ def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:
 
 
 def _contract_path(
-    adj: list, m: int, records: list[Record], alive: int
+    adj: list, m: int, records: list[Record], alive: int, pending: bytearray
 ) -> int | Infeasible:
     """Collapse the degree-2 path through m, its smallest id, into m with
     one record, from the side of m's smaller neighbour, and return how
-    many vertices are left alive.
+    many vertices are left alive.  The path's vertices leave `pending`,
+    so that the scan does not visit the deleted ones above m.
 
     Contracting step by step would keep m and absorb every other vertex
     of the path.  A cycle of degree-2 vertices and a path whose ends
@@ -430,6 +432,7 @@ def _contract_path(
     records.append(Contraction(m, path, (end_l, end_r)))
     for t in path:
         adj[t] = ()
+        pending[t] = 0
     adj[m] = (end_l, end_r) if end_l < end_r else (end_r, end_l)
     if left:
         adj[end_l] = _replaced(adj[end_l], left[-1], m)

@@ -1,19 +1,24 @@
 """Shared test helpers: independent brute-force oracles, fixed graphs and
 puzzle generators.  Everything here is deliberately written as plain,
 propagation-free enumeration so it stays independent of the library code
-it checks, except the three references at the end: the library's earlier,
-simpler reduce_graph, enumerate_solutions and solve_hcp, which its faster
-versions must match exactly.  The earlier reduce_graph wrote one record per
-contracted pair and one per rule-2 edge deletion; those record types live
-here, with pair_records to expand the library's path records into them."""
+it checks, except the references at the end: the library's earlier,
+simpler reduce_graph, enumerate_solutions and solve_hcp, its arc-list
+build_hcp, its clue_redundant_arcs by label calls and its line-by-line
+graph writers, which the faster versions must match exactly.  The earlier
+reduce_graph wrote one record per contracted pair and one per rule-2 edge
+deletion; those record types live here, with pair_records to expand the
+library's path records into them."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 from sudoku2hcp import (
     Contradiction,
@@ -26,8 +31,23 @@ from sudoku2hcp import (
     UndirectedGraph,
     blank_instance,
     block_of,
+    cells_of_block,
     enumerate_solutions,
     verify_cycle,
+)
+from sudoku2hcp.labels import (
+    FINISH,
+    START,
+    label_block,
+    label_cand,
+    label_cell_end,
+    label_col,
+    label_col_end,
+    label_dup,
+    label_dup_end,
+    label_row,
+    label_row_end,
+    vertex_count,
 )
 from sudoku2hcp.transform import Contraction, Infeasible
 
@@ -714,3 +734,207 @@ def solve_hcp_by_scan(
                 state.rollback(m)
         else:
             return outcome("no_cycle")
+
+
+@lru_cache(maxsize=1)
+def stage16_seed101_puzzles() -> tuple[str, ...]:
+    """The puzzle texts of the benchmark's stage16 workload at seed 101,
+    drawn by bench/corpus.py, which does not run the library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    return tuple(corpus.puzzles(corpus.WORKLOADS["stage16"], 101))
+
+
+def _wrap(k: int, n: int) -> int:
+    """Map any integer value index back into 1..n."""
+    return (k - 1) % n + 1
+
+
+def encoding_arcs(order: int) -> list[tuple[int, int]]:
+    """The blank encoding's arcs, one label call and one tuple at a time:
+    the library's earlier build_hcp, before it made successor tuples by
+    label arithmetic."""
+    n = order
+    rng = range(1, n + 1)
+    arcs: list[tuple[int, int]] = []
+    add = arcs.append
+
+    # entry, exit and the closing arc
+    add((START, label_block(1, 1, n)))
+    add((label_col_end(n, n), FINISH))
+    add((FINISH, START))
+
+    # committing value k in block a enters the chosen cell's triple at k+1
+    for a in rng:
+        cells = cells_of_block(a, n)
+        for k in rng:
+            nk = _wrap(k + 1, n)
+            for i, j in cells:
+                add((label_block(a, k, n), label_cand(i, j, nk, 1, n)))
+
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                x1 = label_cand(i, j, k, 1, n)
+                x2 = x1 + 1
+                x3 = x1 + 2
+                # slot 2 is walkable in both directions inside a triple
+                add((x1, x2))
+                add((x2, x1))
+                add((x2, x3))
+                add((x3, x2))
+                # triple-to-triple chain through the values of one cell
+                add((x3, label_cand(i, j, _wrap(k + 1, n), 1, n)))
+                y1 = label_dup(i, j, k, 1, n)
+                y2 = y1 + 1
+                y3 = y1 + 2
+                add((y1, y2))
+                add((y2, y1))
+                add((y2, y3))
+                add((y3, y2))
+                add((y3, label_dup(i, j, _wrap(k + 1, n), 1, n)))
+                # hop from the first copy to the duplicate copy; a commit of
+                # value k exits at slot 3 of value k-1 and lands on k+1
+                add((label_cand(i, j, k, 3, n), label_dup(i, j, _wrap(k + 2, n), 1, n)))
+
+    # return hops from the duplicate copy back to the block machinery
+    for i in rng:
+        for j in rng:
+            a = block_of(i, j, n)
+            for k in rng:
+                if k == n - 1:
+                    continue
+                add((label_dup(i, j, k, 3, n), label_block(a, _wrap(k + 2, n), n)))
+            src = label_dup(i, j, n - 1, 3, n)
+            if a < n:
+                # committing value n finishes block a, move to the next block
+                add((src, label_block(a + 1, 1, n)))
+            else:
+                # committing value n in the last block hands over to the rows
+                add((src, label_row(1, 1, n)))
+
+    # row sweep: collect the committed triple of value k somewhere in row i
+    for i in rng:
+        for k in rng:
+            rv = label_row(i, k, n)
+            for j in rng:
+                add((rv, label_cand(i, j, k, 3, n)))
+    for i in rng:
+        for j in rng:
+            ve = label_cell_end(i, j, n)
+            for k in rng:
+                add((label_cand(i, j, k, 1, n), ve))
+                add((ve, label_row(i, k, n)))
+            add((ve, label_row_end(i, n)))
+    for i in range(1, n):
+        add((label_row_end(i, n), label_row(i + 1, 1, n)))
+    add((label_row_end(n, n), label_col(1, 1, n)))
+
+    # column sweep over the duplicate copies
+    for j in rng:
+        for k in rng:
+            cv = label_col(j, k, n)
+            for i in rng:
+                add((cv, label_dup(i, j, k, 3, n)))
+    for i in rng:
+        for j in rng:
+            we = label_dup_end(i, j, n)
+            for k in rng:
+                add((label_dup(i, j, k, 1, n), we))
+                add((we, label_col(j, k, n)))
+            add((we, label_col_end(j, n)))
+    for j in range(1, n):
+        add((label_col_end(j, n), label_col(j + 1, 1, n)))
+    return arcs
+
+
+def build_hcp_by_arcs(order: int) -> DirectedGraph:
+    """encoding_arcs through the public, checking constructor."""
+    return DirectedGraph(vertex_count(order), encoding_arcs(order))
+
+
+def clue_redundant_arcs_by_labels(order: int, i: int, j: int, k: int) -> list[tuple[int, int]]:
+    """The library's earlier clue_redundant_arcs: the same twelve families
+    in the same order, with label calls for every arc."""
+    n = order
+    a = block_of(i, j, n)
+    other_cells = [c for c in cells_of_block(a, n) if c != (i, j)]
+    other_values = [m for m in range(1, n + 1) if m != k]
+    out: list[tuple[int, int]] = []
+
+    # value k committed at a different cell of the block
+    for m, p in other_cells:
+        out.append((label_block(a, k, n), label_cand(m, p, _wrap(k + 1, n), 1, n)))
+    # a different value committed at this cell
+    for m in other_values:
+        out.append((label_block(a, m, n), label_cand(i, j, _wrap(m + 1, n), 1, n)))
+    # crossover hops that such wrong commits would use
+    for m, p in other_cells:
+        out.append(
+            (label_cand(m, p, _wrap(k - 1, n), 3, n), label_dup(m, p, _wrap(k + 1, n), 1, n))
+        )
+    for m in other_values:
+        out.append(
+            (label_cand(i, j, _wrap(m - 1, n), 3, n), label_dup(i, j, _wrap(m + 1, n), 1, n))
+        )
+    # return hops after committing k at a different cell of the block
+    if k < n:
+        dst = label_block(a, k + 1, n)
+    elif a < n:
+        dst = label_block(a + 1, 1, n)
+    else:
+        dst = label_row(1, 1, n)
+    for m, p in other_cells:
+        out.append((label_dup(m, p, _wrap(k - 1, n), 3, n), dst))
+    # return hops after committing another value at this cell
+    for m in other_values:
+        if m != n:
+            out.append((label_dup(i, j, _wrap(m - 1, n), 3, n), label_block(a, m + 1, n)))
+    if k < n:
+        last = label_block(a + 1, 1, n) if a < n else label_row(1, 1, n)
+        out.append((label_dup(i, j, n - 1, 3, n), last))
+    # row sweep cannot find value k in another column,
+    # nor another value at this cell
+    for m in range(1, n + 1):
+        if m != j:
+            out.append((label_row(i, k, n), label_cand(i, m, k, 3, n)))
+            out.append((label_cand(i, m, k, 1, n), label_cell_end(i, m, n)))
+    for m in other_values:
+        out.append((label_row(i, m, n), label_cand(i, j, m, 3, n)))
+    # the same two observations for the column sweep
+    for m in range(1, n + 1):
+        if m != i:
+            out.append((label_col(j, k, n), label_dup(m, j, k, 3, n)))
+            out.append((label_dup(m, j, k, 1, n), label_dup_end(m, j, n)))
+    for m in other_values:
+        out.append((label_col(j, m, n), label_dup(i, j, m, 3, n)))
+    return out
+
+
+def export_graph_by_lines(g: DirectedGraph | UndirectedGraph) -> str:
+    """The library's earlier export_graph, one f-string per line."""
+    if isinstance(g, DirectedGraph):
+        lines = [f"DHCP {g.n} {g.m}"]
+        lines.extend(f"{u} {v}" for u, v in g.arcs())
+    else:
+        lines = [f"UHCP {g.n} {g.m}"]
+        lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def export_tsplib_hcp_by_lines(g: UndirectedGraph, name: str) -> str:
+    """The library's earlier export_tsplib_hcp, one f-string per line."""
+    lines = [
+        f"NAME: {name}",
+        "TYPE: HCP",
+        f"DIMENSION: {g.n}",
+        "EDGE_DATA_FORMAT: EDGE_LIST",
+        "EDGE_DATA_SECTION",
+    ]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.append("-1")
+    lines.append("EOF")
+    return "\n".join(lines) + "\n"

@@ -219,6 +219,30 @@ def test_recover_rejects_a_retired_journal(puzzle_file, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "name, text, err",
+    [
+        ("g.dhcp", "DHCP 3 3\n+1 2\n2 3\n3 1\n", "bad edge line '+1 2'"),
+        ("c.cycle", "CYCLE \u0663\n1\n2\n3\n", "bad header 'CYCLE \u0663'"),
+        ("g.journal", "T +2\n", "bad journal line 'T +2'"),
+    ],
+)
+def test_files_take_plain_numbers_only(tmp_path, capsys, name, text, err):
+    # files are read as UTF-8, so the reader sees the line and names it
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    cycle = tmp_path / "ok.cycle"
+    cycle.write_text("CYCLE 3\n1\n2\n3\n")
+    argv = {
+        "g.dhcp": ["undirect", path, "-o", tmp_path / "u.uhcp",
+                   "--journal-out", tmp_path / "u.journal"],
+        "c.cycle": ["recover", path],
+        "g.journal": ["recover", cycle, "--journal", path],
+    }[name]
+    assert main(list(map(str, argv))) == 3
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_verify_grid(puzzle_file, capsys):
     sol = all_order4_solutions()[0]
     p = puzzle_file("p.txt", BLANK4)

@@ -21,7 +21,12 @@ from sudoku2hcp import (
 )
 from sudoku2hcp import construct
 from sudoku2hcp import labels as L
-from _support import all_order4_solutions
+from _support import (
+    all_order4_solutions,
+    build_hcp_by_arcs,
+    clue_redundant_arcs_by_labels,
+    storage,
+)
 
 
 def wrap(k, n):
@@ -137,6 +142,38 @@ class TestBuild:
         with pytest.raises(RuntimeError, match="internal error: built 1258 arcs, expected 0"):
             build_hcp(4)
 
+    @pytest.mark.parametrize("n", [4, 9, 16, 25])
+    def test_against_the_arc_list(self, n):
+        # the successor tuples made by label arithmetic are stored exactly
+        # as the checking constructor stores the earlier arc list
+        assert storage(build_hcp(n)) == storage(build_hcp_by_arcs(n))
+
+    @pytest.mark.parametrize(
+        "vertex, tuple_, match",
+        [
+            (5, (9, 7), "not strictly ascending"),
+            (5, (7, 7), "not strictly ascending"),
+            (5, (0, 7), "out of range 1..474"),
+            (5, (7, 475), "out of range 1..474"),
+            (5, (5, 7), "self-loop"),
+            (474, None, "473 successor tuples for 474 vertices"),
+        ],
+    )
+    def test_emitted_tuples_checked_without_assert(self, monkeypatch, vertex, tuple_, match):
+        made = construct._successor_tuples
+
+        def broken(n):
+            succ = made(n)
+            if tuple_ is None:
+                del succ[vertex - 1]
+            else:
+                succ[vertex - 1] = tuple_
+            return succ
+
+        monkeypatch.setattr(construct, "_successor_tuples", broken)
+        with pytest.raises(RuntimeError, match=f"^internal error: .*{match}"):
+            build_hcp(4)
+
 
 class TestPrune:
     def test_single_clue_removes_96(self):
@@ -172,6 +209,25 @@ class TestPrune:
         for n in (4, 9):
             arcs = clue_redundant_arcs(n, 2, 3, 1)
             assert len(arcs) == len(set(arcs)) == 12 * n - 12
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_clue_families_against_label_calls(self, n):
+        # by strides from a few base labels, the same arcs in the same order
+        r = range(1, n + 1)
+        for i in r:
+            for j in r:
+                for k in r:
+                    want = clue_redundant_arcs_by_labels(n, i, j, k)
+                    assert clue_redundant_arcs(n, i, j, k) == want
+
+    @pytest.mark.parametrize("n", [16, 25])
+    def test_clue_families_against_label_calls_sampled(self, n):
+        rng = random.Random(1600 + n)
+        # the corners and edges of the grid and its values, then a sample
+        picks = [(i, j, k) for i in (1, n) for j in (1, n) for k in (1, n - 1, n)]
+        picks += [tuple(rng.randint(1, n) for _ in range(3)) for _ in range(300)]
+        for i, j, k in picks:
+            assert clue_redundant_arcs(n, i, j, k) == clue_redundant_arcs_by_labels(n, i, j, k)
 
     def test_shape_mismatch(self):
         g = build_hcp(4)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,13 @@ from sudoku2hcp import (
     undirect,
     write_cycle,
 )
-from _support import peak_bytes, random_undirected
+from _support import (
+    export_graph_by_lines,
+    export_tsplib_hcp_by_lines,
+    peak_bytes,
+    random_directed_arcs,
+    random_undirected,
+)
 
 
 class TestGraphFormat:
@@ -72,6 +79,64 @@ class TestGraphFormat:
         rng = random.Random(seed)
         g = random_undirected(rng, rng.randint(1, 12), 0.4)
         assert import_graph(export_graph(g)) == g
+
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("DHCP 3 3\n+1 2\n2 3\n3 1\n", "+1 2"),
+            ("DHCP 3 3\n1 2\n1_0 3\n3 1\n", "1_0 3"),
+            ("UHCP 3 3\n1 2\n1 3\n\u0662 3\n", "\u0662 3"),
+            ("UHCP 3 3\n1 2\n1 3\n2 \uff13\n", "2 \uff13"),
+        ],
+    )
+    def test_edge_line_takes_plain_numbers_only(self, text, line):
+        # int() reads all of these, as '+1', 10, 2 and 3
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad edge line {line!r}") + "$"):
+            import_graph(text)
+
+    @pytest.mark.parametrize("head", ["DHCP 0_3 3", "DHCP +3 3", "UHCP \u0663 3"])
+    def test_header_takes_plain_numbers_only(self, head):
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad header {head!r}") + "$"):
+            import_graph(f"{head}\n1 2\n2 3\n3 1\n")
+
+    def test_negative_ids_left_to_the_range_check(self):
+        with pytest.raises(ValueError, match="out of range"):
+            import_graph("DHCP 3 3\n-1 2\n2 3\n3 1\n")
+
+
+class TestBulkWriters:
+    """export_graph and export_tsplib_hcp against the earlier writers that
+    made one f-string per line, byte for byte."""
+
+    def graphs(self, seed):
+        rng = random.Random(seed)
+        for n in (0, 1, 2, 3, 7, 12, 30):
+            for p in (0.0, 0.1, 0.5):
+                # isolated vertices are common at the lower densities
+                yield DirectedGraph(n, random_directed_arcs(rng, n, p))
+                yield random_undirected(rng, n, p)
+
+    def test_export_graph(self):
+        for g in self.graphs(1901):
+            assert export_graph(g) == export_graph_by_lines(g)
+
+    def test_export_tsplib_hcp(self):
+        for g in self.graphs(1902):
+            if isinstance(g, UndirectedGraph):
+                assert export_tsplib_hcp(g, "g") == export_tsplib_hcp_by_lines(g, "g")
+
+    def test_no_edges(self):
+        assert export_graph(DirectedGraph(4, [])) == "DHCP 4 0\n"
+        assert export_tsplib_hcp(UndirectedGraph(0, []), "e").endswith(
+            "EDGE_DATA_SECTION\n-1\nEOF\n")
+
+    def test_transformed_order9(self):
+        g, _ = prune_fixed(build_hcp(9), SudokuInstance(9, {(1, 1): 1, (5, 7): 3}))
+        ug, _ = undirect(g)
+        assert export_graph(g) == export_graph_by_lines(g)
+        assert export_graph(ug) == export_graph_by_lines(ug)
+        assert export_tsplib_hcp(ug, "x") == export_tsplib_hcp_by_lines(ug, "x")
 
 
 class TestTsplib:
@@ -126,6 +191,20 @@ class TestCycleFormat:
         with pytest.raises(ValueError, match="repeated"):
             read_cycle("CYCLE 3\n1\n2\n2\n")
 
+    @pytest.mark.parametrize("head", ["CYCLE \u0663", "CYCLE +3", "CYCLE 0_3"])
+    def test_header_takes_plain_numbers_only(self, head):
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad header {head!r}") + "$"):
+            read_cycle(f"{head}\n1\n2\n3\n")
+
+    @pytest.mark.parametrize("line", ["+2", "2_0", "\uff12", "x", "--2", "2 3"])
+    def test_vertex_line_named(self, line):
+        want = "^" + re.escape(f"non-integer vertex line {line!r}") + "$"
+        with pytest.raises(ValueError, match=want):
+            read_cycle(f"CYCLE 3\n1\n{line}\n3\n")
+
+    def test_vertex_line_may_be_padded(self):
+        assert read_cycle("CYCLE 3\n 1\n2 \n\t3\n") == [1, 2, 3]
+
     @pytest.mark.parametrize("head", ["CYCLEX 3", "CYCLE3", "cycle 3", "XCYCLE 3"])
     def test_header_word_must_be_cycle(self, head):
         with pytest.raises(ValueError, match="^missing CYCLE header$"):
@@ -170,6 +249,11 @@ class TestJournalFormat:
     def test_hostile_path_lines_rejected(self, text, cycle, match):
         with pytest.raises(ValueError, match=match):
             load_journal(text).lift(cycle)
+
+    @pytest.mark.parametrize("line", ["T +2", "T 2_0", "T \u0662", "g 1 2 \uff13"])
+    def test_lines_take_plain_numbers_only(self, line):
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad journal line {line!r}") + "$"):
+            load_journal(f"{line}\n")
 
     def test_empty_journal(self):
         from sudoku2hcp import CycleLifter

@@ -40,6 +40,7 @@ from _support import (
     random_directed_arcs,
     random_undirected,
     reduce_graph_by_passes,
+    stage16_seed101_puzzles,
     storage,
     well_formed_order4,
 )
@@ -623,6 +624,15 @@ class TestReduceMatchesPassByPass:
 
     def test_puzzle_35(self):
         pruned, _ = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))
+        want = assert_matches_oracle(undirect(pruned)[0])
+        assert not isinstance(want, Infeasible)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_stage16_seed101(self, index):
+        # 77670 vertices, where most rule-1 visits of the scan would land on
+        # vertices a path contraction has already deleted
+        instance = parse_sudoku(stage16_seed101_puzzles()[index])
+        pruned, _ = prune_fixed(build_hcp(16), instance)
         want = assert_matches_oracle(undirect(pruned)[0])
         assert not isinstance(want, Infeasible)
 
