@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .graphs import DirectedGraph, UndirectedGraph
+from .sudoku import _plain
 from .transform import Contraction, CycleLifter, GadgetRemoval, Triplication
 
 
@@ -57,13 +58,6 @@ def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
     if head[0] == "DHCP":
         return DirectedGraph(n, pairs)
     return UndirectedGraph(n, pairs)
-
-
-def _plain(text: str) -> bool:
-    """Whether text holds nothing that int() reads in a token but a plain
-    ASCII number lacks: a digit of another script, a '+' sign or a '_'
-    between digits.  The puzzle reader rejects them too."""
-    return text.isascii() and "+" not in text and "_" not in text
 
 
 def _odd_line(text: str) -> str | None:
@@ -124,13 +118,12 @@ def read_cycle(text: str) -> list[int]:
         raise ValueError(f"non-integer vertex line {odd!r}")
     if len(lines) - 1 != n:
         raise ValueError(f"header says {n} vertices, found {len(lines) - 1}")
-    try:
-        cycle = [int(ln) for ln in lines[1:]]
-    except ValueError:
-        # int() takes what is left of a line once '+', '_' and non-ASCII
-        # text are ruled out exactly when it is digits after at most one '-'
-        bad = next(ln for ln in lines[1:] if not ln.strip().removeprefix("-").isdigit())
-        raise ValueError(f"non-integer vertex line {bad!r}") from None
+    cycle = []
+    for ln in lines[1:]:
+        try:
+            cycle.append(int(ln))
+        except ValueError:
+            raise ValueError(f"non-integer vertex line {ln!r}") from None
     if len(set(cycle)) != n:
         raise ValueError("cycle contains repeated vertices")
     return cycle

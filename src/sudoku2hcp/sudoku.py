@@ -112,10 +112,20 @@ def blank_instance(order: int) -> SudokuInstance:
 _LINE_LENGTHS = {16: 4, 81: 9}
 
 
+def _plain(text: str) -> bool:
+    """Whether text holds nothing that int() reads in a token but a plain
+    ASCII number lacks: a digit of another script, a '+' sign or a '_'
+    between digits.  Every reader of numbers in the package keeps to it:
+    the puzzle reader through _is_number, and the graph, cycle and journal
+    readers of the formats module on their whole text."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
 def _is_number(text: str) -> bool:
-    """Whether text is one or more ASCII digits; str.isdigit alone also
-    takes the other scripts' digits and superscripts."""
-    return text.isascii() and text.isdigit()
+    """Whether text is one or more ASCII digits: _plain and nothing but
+    digits (str.isdigit alone also takes the other scripts' digits and
+    superscripts)."""
+    return _plain(text) and text.isdigit()
 
 
 def _read_cells(text: str) -> tuple[int, list[int]]:

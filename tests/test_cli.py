@@ -243,6 +243,22 @@ def test_files_take_plain_numbers_only(tmp_path, capsys, name, text, err):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize("command", ["recover", "verify"])
+def test_vertex_line_of_thousands_of_digits(tmp_path, capsys, command):
+    # int() refuses it in its own words; the reader names the line
+    long = "4" * 5000
+    cycle = tmp_path / "c.cycle"
+    cycle.write_text(f"CYCLE 3\n1\n{long}\n3\n")
+    graph = tmp_path / "g.uhcp"
+    graph.write_text("UHCP 3 3\n1 2\n1 3\n2 3\n")
+    argv = {
+        "recover": ["recover", cycle],
+        "verify": ["verify", "--graph", graph, "--cycle", cycle],
+    }[command]
+    assert main(list(map(str, argv))) == 3
+    assert capsys.readouterr().err == f"error: non-integer vertex line '{long}'\n"
+
+
 def test_verify_grid(puzzle_file, capsys):
     sol = all_order4_solutions()[0]
     p = puzzle_file("p.txt", BLANK4)

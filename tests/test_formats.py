@@ -211,6 +211,26 @@ class TestCycleFormat:
             read_cycle(f"{head}\n1\n2\n3\n")
 
 
+_LONG = "4" * 5000
+
+
+@pytest.mark.parametrize(
+    "read, text, err",
+    [
+        (import_graph, f"DHCP {_LONG} 1\n1 2\n", f"bad header 'DHCP {_LONG} 1'"),
+        (import_graph, f"DHCP 3 1\n{_LONG} 2\n", f"bad edge line '{_LONG} 2'"),
+        (read_cycle, f"CYCLE {_LONG}\n1\n", f"bad header 'CYCLE {_LONG}'"),
+        (read_cycle, f"CYCLE 3\n1\n{_LONG}\n3\n", f"non-integer vertex line '{_LONG}'"),
+        (load_journal, f"T {_LONG}\n", f"bad journal line 'T {_LONG}'"),
+    ],
+    ids=["graph-header", "edge-line", "cycle-header", "vertex-line", "journal-line"],
+)
+def test_thousands_of_digits_named(read, text, err):
+    # plain ASCII digits, which int() refuses past 4300 in its own words
+    with pytest.raises(ValueError, match="^" + re.escape(err) + "$"):
+        read(text)
+
+
 class TestJournalFormat:
     def test_round_trip(self):
         g = build_hcp(4)
