@@ -12,6 +12,7 @@ import sys
 
 from .construct import build_hcp, prune_fixed, recover_solution
 from .formats import (
+    GRAPH_HEADERS,
     export_graph,
     export_tsplib_hcp,
     format_stats,
@@ -149,26 +150,25 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.puzzle and args.grid:
-        instance = parse_sudoku(_read(args.puzzle))
-        grid = parse_grid(_read(args.grid))
-        violations = validate_grid(instance, grid)
-        if violations:
-            for v in violations:
-                print(f"violation: {v.kind} {v.where}", file=sys.stderr)
-            return UNSAT
-        print("valid")
-        return OK
-    if args.graph and args.cycle:
-        g = import_graph(_read(args.graph))
-        cycle = read_cycle(_read(args.cycle))
+    # a graph file names itself in its header; any other text is a puzzle
+    given, answer = _read(args.given), _read(args.answer)
+    first = given.split(maxsplit=1)[:1]
+    if first and first[0] in GRAPH_HEADERS:
+        g = import_graph(given)
+        cycle = read_cycle(answer)
         ok = verify_cycle(g, cycle)
         if not ok and isinstance(g, DirectedGraph):
             # cycle files are direction-canonicalised, accept either way
             ok = verify_cycle(g, cycle[::-1])
         print("valid" if ok else "invalid")
         return OK if ok else UNSAT
-    raise ValueError("verify needs --puzzle with --grid, or --graph with --cycle")
+    violations = validate_grid(parse_sudoku(given), parse_grid(answer))
+    if violations:
+        for v in violations:
+            print(f"violation: {v.kind} {v.where}", file=sys.stderr)
+        return UNSAT
+    print("valid")
+    return OK
 
 
 def _cmd_stats(args) -> int:
@@ -249,11 +249,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--journal", default=None)
     sp.set_defaults(func=_cmd_recover)
 
-    sp = sub.add_parser("verify", help="check a grid or a cycle")
-    sp.add_argument("--puzzle", default=None)
-    sp.add_argument("--grid", default=None)
-    sp.add_argument("--graph", default=None)
-    sp.add_argument("--cycle", default=None)
+    sp = sub.add_parser("verify", help="check a puzzle's grid or a graph's cycle")
+    sp.add_argument("given", help="puzzle or graph file")
+    sp.add_argument("answer", help="grid file for a puzzle, cycle file for a graph")
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("stats", help="degree statistics of a graph file")

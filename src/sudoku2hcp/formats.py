@@ -12,13 +12,16 @@ from .graphs import DirectedGraph, UndirectedGraph
 from .sudoku import _plain
 from .transform import Contraction, CycleLifter, GadgetRemoval, Triplication
 
+# The first word of a graph file, and the kind of graph it announces.
+GRAPH_HEADERS = {"DHCP": DirectedGraph, "UHCP": UndirectedGraph}
+
 
 def export_graph(g: DirectedGraph | UndirectedGraph) -> str:
     """Graph text format: 'DHCP n m' or 'UHCP n m', then one 'u v' line per
     arc or edge in ascending order (undirected pairs with u < v)."""
-    if isinstance(g, DirectedGraph):
-        return f"DHCP {g.n} {g.m}\n" + _pair_lines(g.arcs())
-    return f"UHCP {g.n} {g.m}\n" + _pair_lines(g.edges())
+    (word,) = (w for w, kind in GRAPH_HEADERS.items() if isinstance(g, kind))
+    pairs = g.arcs() if isinstance(g, DirectedGraph) else g.edges()
+    return f"{word} {g.n} {g.m}\n" + _pair_lines(pairs)
 
 
 def _pair_lines(pairs: Iterable[tuple[int, int]]) -> str:
@@ -36,7 +39,7 @@ def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
         raise ValueError("empty graph file")
     odd = _odd_line(text)
     head = lines[0].split()
-    if odd == lines[0] or len(head) != 3 or head[0] not in ("DHCP", "UHCP"):
+    if odd == lines[0] or len(head) != 3 or head[0] not in GRAPH_HEADERS:
         raise ValueError(f"bad header {lines[0]!r}")
     try:
         n, m = int(head[1]), int(head[2])
@@ -55,9 +58,7 @@ def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
             pairs.append((int(toks[0]), int(toks[1])))
         except ValueError:
             raise ValueError(f"bad edge line {ln!r}") from None
-    if head[0] == "DHCP":
-        return DirectedGraph(n, pairs)
-    return UndirectedGraph(n, pairs)
+    return GRAPH_HEADERS[head[0]](n, pairs)
 
 
 def _odd_line(text: str) -> str | None:
@@ -74,10 +75,11 @@ def export_tsplib_hcp(g: UndirectedGraph, name: str) -> str:
 
     The '-1' terminator is written with a trailing newline; some TSPLIB
     readers are picky about this, ours includes it.  The name must be a
-    non-empty printable line, so that it cannot add header lines.
+    non-empty printable ASCII line, so that it cannot add header lines and
+    the file stays ASCII, as every file the package writes is.
     """
-    if not name or not name.isprintable():
-        raise ValueError(f"TSPLIB name must be non-empty and printable, got {name!r}")
+    if not name or not name.isprintable() or not name.isascii():
+        raise ValueError(f"TSPLIB name must be non-empty and printable ASCII, got {name!r}")
     head = (
         f"NAME: {name}\n"
         "TYPE: HCP\n"

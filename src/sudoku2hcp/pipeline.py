@@ -71,30 +71,23 @@ def solve_instance(
     n = instance.order
     directed, pruned_arcs = prune_fixed(_blank_encoding(n), instance)
     graph, lifter = undirect(directed)
+    # built once and filled in as each stage finishes; "unsat" stands
+    # unless solve ends otherwise
+    result = PipelineResult("unsat", None, None, directed, pruned_arcs, graph, lifter)
 
     reduced = reduce_graph(graph)
     if isinstance(reduced, Infeasible):
-        return PipelineResult(
-            "unsat",
-            None,
-            None,
-            directed,
-            pruned_arcs,
-            graph,
-            lifter,
-            reason=reduced.reason,
-        )
+        result.reason = reduced.reason
+        return result
     graph, step = reduced
-    lifter = lifter + step
+    result.final_graph, result.lifter = graph, lifter + step
 
-    outcome = solve_hcp(graph, config.budget)
+    outcome = result.outcome = solve_hcp(graph, config.budget)
     if outcome.status != "cycle":
-        status = "unsat" if outcome.status == "no_cycle" else "budget"
-        return PipelineResult(
-            status, None, outcome, directed, pruned_arcs, graph, lifter
-        )
+        result.status = "unsat" if outcome.status == "no_cycle" else "budget"
+        return result
 
-    directed_cycle = lifter.lift(outcome.cycle)
+    directed_cycle = result.directed_cycle = result.lifter.lift(outcome.cycle)
     if not verify_cycle(directed, directed_cycle):
         raise RuntimeError("internal error: lifted cycle failed verification")
     grid = recover_solution(directed_cycle, n)
@@ -103,13 +96,5 @@ def solve_instance(
         raise RuntimeError(
             f"internal error: recovered grid violates {violations[:3]}"
         )
-    return PipelineResult(
-        "solved",
-        grid,
-        outcome,
-        directed,
-        pruned_arcs,
-        graph,
-        lifter,
-        directed_cycle,
-    )
+    result.status, result.grid = "solved", grid
+    return result

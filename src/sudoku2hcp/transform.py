@@ -19,6 +19,7 @@ once and replays the records backwards.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -131,14 +132,7 @@ def _survivor(gone: list[int], k: int) -> int:
     first index j with gone[j] - j > k."""
     if k < 1:
         raise ValueError("journal refers to vertices outside the graph")
-    lo, hi = 0, len(gone)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if gone[mid] - mid > k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return k + lo
+    return k + bisect_right(range(len(gone)), k, key=lambda j: gone[j] - j)
 
 
 def in_copy(v: int) -> int:
@@ -257,9 +251,12 @@ def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     reason = _uncoverable(g)
     if reason:
         raise ValueError(reason)
-    r = range(1, n + 1)
-    slot2 = [f(i, j, k, 2, n) for i in r for j in r for k in r for f in (label_cand, label_dup)]
-    mids = sorted(map(mid_copy, slot2), reverse=True)
+    # the slot-2 vertices are every third label of the cand family and of
+    # the dup family above it, so their middles lie 9 apart: descending,
+    # the dup family's first
+    dup, cand = mid_copy(label_dup(1, 1, 1, 2, n)), mid_copy(label_cand(1, 1, 1, 2, n))
+    span = 9 * n**3
+    mids = [*reversed(range(dup, dup + span, 9)), *reversed(range(cand, cand + span, 9))]
     for mv in mids:
         if g.neighbors(mv) != [mv - 1, mv + 1]:
             raise ValueError(f"vertex {mv} is not a removable gadget middle")

@@ -63,7 +63,9 @@ def test_pipeline_well_formed_puzzle(puzzle_file, capsys):
      ["convert", "-o", "g.dhcp", "--prune"],
      ["convert", "-o", "g.dhcp", "--format", "line"], ["pipeline", "--format", "line"],
      ["compress", "-o", "c.uhcp", "--journal-out", "c.journal", "--order", "4"],
-     ["recover", "--order", "4"], ["pipeline", "--no-reduce"]],
+     ["recover", "--order", "4"], ["pipeline", "--no-reduce"],
+     ["verify", "--puzzle", "p.txt", "--grid", "g.txt"],
+     ["verify", "--graph", "g.dhcp", "--cycle", "c.cycle"]],
 )
 def test_removed_options_rejected(puzzle_file, capsys, argv):
     path = puzzle_file("p.txt", "2" + "." * 15)
@@ -77,7 +79,7 @@ def test_verify_format_option_removed(puzzle_file, capsys):
     p = puzzle_file("p.txt", BLANK4)
     g = puzzle_file("g.txt", format_grid(all_order4_solutions()[0]))
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--puzzle", p, "--grid", g, "--format", "grid"])
+        main(["verify", p, g, "--format", "grid"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -253,7 +255,7 @@ def test_vertex_line_of_thousands_of_digits(tmp_path, capsys, command):
     graph.write_text("UHCP 3 3\n1 2\n1 3\n2 3\n")
     argv = {
         "recover": ["recover", cycle],
-        "verify": ["verify", "--graph", graph, "--cycle", cycle],
+        "verify": ["verify", graph, cycle],
     }[command]
     assert main(list(map(str, argv))) == 3
     assert capsys.readouterr().err == f"error: non-integer vertex line '{long}'\n"
@@ -263,10 +265,10 @@ def test_verify_grid(puzzle_file, capsys):
     sol = all_order4_solutions()[0]
     p = puzzle_file("p.txt", BLANK4)
     g = puzzle_file("g.txt", format_grid(sol))
-    assert main(["verify", "--puzzle", p, "--grid", g]) == 0
+    assert main(["verify", p, g]) == 0
     assert "valid" in capsys.readouterr().out
     bad = puzzle_file("bad.txt", format_grid(sol).replace("1", "2", 1))
-    assert main(["verify", "--puzzle", p, "--grid", bad]) == 1
+    assert main(["verify", p, bad]) == 1
 
 
 def test_verify_cycle(puzzle_file, capsys, tmp_path):
@@ -274,13 +276,41 @@ def test_verify_cycle(puzzle_file, capsys, tmp_path):
     w = witness_cycle(blank_instance(4), all_order4_solutions()[0])
     gf = puzzle_file("g.dhcp", export_graph(g4))
     cf = puzzle_file("c.cycle", write_cycle(w))
-    assert main(["verify", "--graph", gf, "--cycle", cf]) == 0
+    assert main(["verify", gf, cf]) == 0
     ug, _ = undirect(g4)
     uf = puzzle_file("g.uhcp", export_graph(ug))
     ucf = puzzle_file("u.cycle", write_cycle(triplicate_cycle(w)))
-    assert main(["verify", "--graph", uf, "--cycle", ucf]) == 0
+    assert main(["verify", uf, ucf]) == 0
     # a cycle of the wrong graph is invalid
-    assert main(["verify", "--graph", uf, "--cycle", cf]) == 1
+    assert main(["verify", uf, cf]) == 1
+
+
+@pytest.mark.parametrize(
+    "given,answer,err",
+    [
+        # swapped pairs
+        ("g.txt", "p.txt", "grid is not complete: cell 0 is blank"),
+        ("c.cycle", "g.dhcp", "expected order as first token, got 'CYCLE'"),
+        # mismatched pairs
+        ("g.dhcp", "g.txt", "missing CYCLE header"),
+        ("p.txt", "c.cycle", "expected order as first token, got 'CYCLE'"),
+    ],
+)
+def test_verify_wrong_pair_exit_3(puzzle_file, capsys, given, answer, err):
+    # GIVEN's header picks the check, and the answer's reader refuses a
+    # file of the other kind in its own words
+    sol = all_order4_solutions()[0]
+    files = {
+        "p.txt": BLANK4,
+        "g.txt": format_grid(sol),
+        "g.dhcp": export_graph(build_hcp(4)),
+        "c.cycle": write_cycle(witness_cycle(blank_instance(4), sol)),
+    }
+    paths = {name: puzzle_file(name, text) for name, text in files.items()}
+    assert main(["verify", paths[given], paths[answer]]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
 
 
 def test_export_tsplib(puzzle_file, capsys, tmp_path):
@@ -301,14 +331,16 @@ def test_export_tsplib(puzzle_file, capsys, tmp_path):
 
 
 def test_export_tsplib_rejects_a_header_injecting_name(puzzle_file, capsys, tmp_path):
-    # a line break in the name would write a second TYPE: line
+    # a line break in the name would write a second TYPE: line, and a
+    # non-ASCII name would fail only once the output file is open
     gf = puzzle_file("g.uhcp", export_graph(undirect(build_hcp(4))[0]))
-    argv = ["export-tsplib", gf, "-o", f"{tmp_path}/g.tsp", "--name", "x\nTYPE: TSP"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: TSPLIB name must be non-empty and printable")
-    assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.uhcp"]
+    for name in ["x\nTYPE: TSP", "café"]:
+        argv = ["export-tsplib", gf, "-o", f"{tmp_path}/g.tsp", "--name", name]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: TSPLIB name must be non-empty and printable")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.uhcp"]
 
 
 def test_missing_file_exit_3(capsys):

@@ -161,7 +161,7 @@ class TestTsplib:
         # 5 header lines, the edges, the -1 terminator and EOF
         assert len(text.splitlines()) == 7 + ug.m
 
-    @pytest.mark.parametrize("name", ["", "x\nTYPE: TSP", "x\r", "a\tb", "x\u2028y"])
+    @pytest.mark.parametrize("name", ["", "x\nTYPE: TSP", "x\r", "a\tb", "x\u2028y", "café"])
     def test_name_must_be_one_printable_line(self, name):
         g = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
         with pytest.raises(ValueError, match="^TSPLIB name must be non-empty and printable"):
