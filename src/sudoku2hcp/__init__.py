@@ -27,23 +27,16 @@ from .formats import (
 )
 from .graphs import DirectedGraph, UndirectedGraph
 from .labels import (
-    Role,
     arc_count,
-    label_of,
     order_for_vertex_count,
-    role_of,
     vertex_count,
 )
 from .pipeline import PipelineConfig, PipelineResult, solve_instance
 from .solve import (
-    Contradiction,
     SearchStats,
     SolveBudget,
     SolveOutcome,
-    SolveState,
     format_stats_line,
-    propagate,
-    solve_directed,
     solve_hcp,
     verify_cycle,
 )
@@ -52,8 +45,6 @@ from .sudoku import (
     SudokuInstance,
     Violation,
     blank_instance,
-    block_of,
-    cells_of_block,
     enumerate_solutions,
     format_grid,
     parse_grid,
@@ -69,14 +60,12 @@ from .transform import (
     compress_triples,
     lift_cycle,
     reduce_graph,
-    triplicate_cycle,
     undirect,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Contradiction",
     "Contraction",
     "CycleLifter",
     "DirectedGraph",
@@ -86,20 +75,16 @@ __all__ = [
     "Infeasible",
     "PipelineConfig",
     "PipelineResult",
-    "Role",
     "SearchStats",
     "SolveBudget",
     "SolveOutcome",
-    "SolveState",
     "SudokuInstance",
     "Triplication",
     "UndirectedGraph",
     "Violation",
     "arc_count",
     "blank_instance",
-    "block_of",
     "build_hcp",
-    "cells_of_block",
     "clue_redundant_arcs",
     "compress_triples",
     "enumerate_solutions",
@@ -110,23 +95,18 @@ __all__ = [
     "format_stats_line",
     "graph_stats",
     "import_graph",
-    "label_of",
     "lift_cycle",
     "load_journal",
     "order_for_vertex_count",
     "parse_grid",
     "parse_sudoku",
-    "propagate",
     "prune_fixed",
     "read_cycle",
     "recover_solution",
     "reduce_graph",
-    "role_of",
     "save_journal",
-    "solve_directed",
     "solve_hcp",
     "solve_instance",
-    "triplicate_cycle",
     "undirect",
     "validate_grid",
     "verify_cycle",

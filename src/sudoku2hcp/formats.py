@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .graphs import DirectedGraph, UndirectedGraph
-from .sudoku import _plain
+from .sudoku import _plain, _quote
 from .transform import Contraction, CycleLifter, GadgetRemoval, Triplication
 
 # The first word of a graph file, and the kind of graph it announces.
@@ -40,24 +40,24 @@ def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
     odd = _odd_line(text)
     head = lines[0].split()
     if odd == lines[0] or len(head) != 3 or head[0] not in GRAPH_HEADERS:
-        raise ValueError(f"bad header {lines[0]!r}")
+        raise ValueError(f"bad header {_quote(lines[0])}")
     try:
         n, m = int(head[1]), int(head[2])
     except ValueError:
-        raise ValueError(f"bad header {lines[0]!r}") from None
+        raise ValueError(f"bad header {_quote(lines[0])}") from None
     if odd is not None:
-        raise ValueError(f"bad edge line {odd!r}")
+        raise ValueError(f"bad edge line {_quote(odd)}")
     if len(lines) - 1 != m:
         raise ValueError(f"header says {m} lines, found {len(lines) - 1}")
     pairs = []
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
+            raise ValueError(f"bad edge line {_quote(ln)}")
         try:
             pairs.append((int(toks[0]), int(toks[1])))
         except ValueError:
-            raise ValueError(f"bad edge line {ln!r}") from None
+            raise ValueError(f"bad edge line {_quote(ln)}") from None
     return GRAPH_HEADERS[head[0]](n, pairs)
 
 
@@ -111,13 +111,13 @@ def read_cycle(text: str) -> list[int]:
         raise ValueError("missing CYCLE header")
     odd = _odd_line(text)
     if odd == lines[0] or len(toks) != 2:
-        raise ValueError(f"bad header {lines[0]!r}")
+        raise ValueError(f"bad header {_quote(lines[0])}")
     try:
         n = int(toks[1])
     except ValueError:
-        raise ValueError(f"bad header {lines[0]!r}") from None
+        raise ValueError(f"bad header {_quote(lines[0])}") from None
     if odd is not None:
-        raise ValueError(f"non-integer vertex line {odd!r}")
+        raise ValueError(f"non-integer vertex line {_quote(odd)}")
     if len(lines) - 1 != n:
         raise ValueError(f"header says {n} vertices, found {len(lines) - 1}")
     cycle = []
@@ -125,7 +125,7 @@ def read_cycle(text: str) -> list[int]:
         try:
             cycle.append(int(ln))
         except ValueError:
-            raise ValueError(f"non-integer vertex line {ln!r}") from None
+            raise ValueError(f"non-integer vertex line {_quote(ln)}") from None
     if len(set(cycle)) != n:
         raise ValueError("cycle contains repeated vertices")
     return cycle
@@ -160,7 +160,7 @@ def load_journal(text: str) -> CycleLifter:
     versions wrote, raises ValueError."""
     odd = _odd_line(text)
     if odd is not None:
-        raise ValueError(f"bad journal line {odd!r}")
+        raise ValueError(f"bad journal line {_quote(odd)}")
     records = []
     for ln in text.splitlines():
         if not ln.strip():
@@ -169,7 +169,7 @@ def load_journal(text: str) -> CycleLifter:
         try:
             args = list(map(int, toks))
         except ValueError:
-            raise ValueError(f"bad journal line {ln!r}") from None
+            raise ValueError(f"bad journal line {_quote(ln)}") from None
         if kind == "T" and len(args) == 1:
             records.append(Triplication(args[0]))
         elif kind == "g" and len(args) == 3:
@@ -177,7 +177,7 @@ def load_journal(text: str) -> CycleLifter:
         elif kind == "p" and len(args) >= 5:
             records.append(Contraction(args[0], tuple(args[3:]), (args[1], args[2])))
         else:
-            raise ValueError(f"bad journal line {ln!r}")
+            raise ValueError(f"bad journal line {_quote(ln)}")
     return CycleLifter(tuple(records))
 
 

@@ -70,16 +70,10 @@ class DirectedGraph:
     def successors(self, u: int) -> list[int]:
         return list(self._succ.get(u, ()))
 
-    def out_degree(self, u: int) -> int:
-        return len(self._succ.get(u, ()))
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u, outs in self._succ.items():
             for v in outs:
                 yield (u, v)
-
-    def arc_set(self) -> set[tuple[int, int]]:
-        return set(self.arcs())
 
     def without_arcs(self, removed: Iterable[tuple[int, int]]) -> "DirectedGraph":
         """New graph with the given arcs removed; all must be present, and
@@ -168,9 +162,6 @@ class UndirectedGraph:
             for b in nbrs:
                 if a < b:
                     yield (a, b)
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.edges())
 
     def __eq__(self, other):
         return (

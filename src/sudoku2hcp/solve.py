@@ -26,7 +26,7 @@ from itertools import compress, repeat
 from operator import contains
 
 from .graphs import DirectedGraph, UndirectedGraph
-from .transform import _uncoverable, undirect
+from .transform import _uncoverable
 
 
 class Contradiction(Exception):
@@ -398,19 +398,6 @@ def solve_hcp(
                 state.rollback(m)
         else:
             return outcome("no_cycle")
-
-
-def solve_directed(g: DirectedGraph, budget: SolveBudget | None = None) -> SolveOutcome:
-    """Solve a directed instance through the undirected conversion and lift
-    the cycle back through its triplication journal."""
-    ug, lifter = undirect(g)
-    out = solve_hcp(ug, budget)
-    if out.status == "cycle":
-        lifted = lifter.lift(out.cycle)
-        if not verify_cycle(g, lifted):
-            raise RuntimeError("internal error: lifted cycle failed verification")
-        out.cycle = lifted
-    return out
 
 
 def format_stats_line(stats: SearchStats) -> str:

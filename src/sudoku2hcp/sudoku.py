@@ -121,6 +121,19 @@ def _plain(text: str) -> bool:
     return text.isascii() and "+" not in text and "_" not in text
 
 
+_QUOTE_LIMIT = 60
+
+
+def _quote(text: str) -> str:
+    """A bad line or token as a reader's message quotes it: repr(text) up to
+    _QUOTE_LIMIT characters, and past that a prefix of that many, then '…'
+    and the text's length, so that a message stays short whatever the
+    input."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}… ({len(text)} characters)"
+
+
 def _is_number(text: str) -> bool:
     """Whether text is one or more ASCII digits: _plain and nothing but
     digits (str.isdigit alone also takes the other scripts' digits and
@@ -136,7 +149,7 @@ def _read_cells(text: str) -> tuple[int, list[int]]:
     if len(tokens) > 1:
         head, cells = tokens[0], tokens[1:]
         if not _is_number(head):
-            raise ValueError(f"expected order as first token, got {head!r}")
+            raise ValueError(f"expected order as first token, got {_quote(head)}")
         # an order of more digits than the cell count has more than that
         # many cells, and int() refuses thousands of digits in its own words
         digits = head.lstrip("0") or "0"
@@ -150,7 +163,7 @@ def _read_cells(text: str) -> tuple[int, list[int]]:
             raise ValueError(f"expected {n * n} cell tokens, got {len(cells)}")
         if not _is_number("".join(cells)):
             bad = next(tok for tok in cells if not _is_number(tok))
-            raise ValueError(f"bad cell token {bad!r}")
+            raise ValueError(f"bad cell token {_quote(bad)}")
     else:
         line = text.strip()
         if len(line) not in _LINE_LENGTHS:

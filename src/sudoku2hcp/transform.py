@@ -135,18 +135,9 @@ def _survivor(gone: list[int], k: int) -> int:
     return k + bisect_right(range(len(gone)), k, key=lambda j: gone[j] - j)
 
 
-def in_copy(v: int) -> int:
-    """Triplication id receiving the arcs into directed vertex v."""
-    return 3 * v - 2
-
-
 def mid_copy(v: int) -> int:
+    """Triplication id of directed vertex v's middle copy."""
     return 3 * v - 1
-
-
-def out_copy(v: int) -> int:
-    """Triplication id emitting the arcs out of directed vertex v."""
-    return 3 * v
 
 
 def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
@@ -182,15 +173,6 @@ def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
         adj[o] = tuple(far)
     graph = UndirectedGraph._derived(3 * n, 2 * n + g.m, adj)
     return graph, CycleLifter((Triplication(n),))
-
-
-def triplicate_cycle(cycle: list[int]) -> list[int]:
-    """The undirected cycle corresponding to a directed one (test helper;
-    lift_cycle through the triplication journal inverts it)."""
-    out: list[int] = []
-    for v in cycle:
-        out.extend((in_copy(v), mid_copy(v), out_copy(v)))
-    return out
 
 
 def _project_triplication(cycle: list[int], n: int) -> list[int]:

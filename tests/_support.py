@@ -1,13 +1,15 @@
 """Shared test helpers: independent brute-force oracles, fixed graphs and
 puzzle generators.  Everything here is deliberately written as plain,
 propagation-free enumeration so it stays independent of the library code
-it checks, except the references at the end: the library's earlier,
-simpler reduce_graph, enumerate_solutions and solve_hcp, its arc-list
-build_hcp, its clue_redundant_arcs by label calls and its line-by-line
-graph writers, which the faster versions must match exactly.  The earlier
-reduce_graph wrote one record per contracted pair and one per rule-2 edge
-deletion; those record types live here, with pair_records to expand the
-library's path records into them."""
+it checks, except solve_directed (undirect, solve_hcp and the lift in one
+call) and the references at the end.  Those are the library's earlier,
+simpler reduce_graph, enumerate_solutions and solve_hcp, its vertex
+layout by role (Role, label_of, role_of), its arc-list build_hcp, its
+clue_redundant_arcs by label calls and its line-by-line graph writers:
+the faster versions, and the label_* arithmetic, must match them exactly.
+The earlier reduce_graph wrote one record per contracted pair and one per
+rule-2 edge deletion; those record types live here, with pair_records to
+expand the library's path records into them."""
 
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 from sudoku2hcp import (
-    Contradiction,
     DirectedGraph,
     Grid,
     SearchStats,
@@ -30,9 +32,9 @@ from sudoku2hcp import (
     SudokuInstance,
     UndirectedGraph,
     blank_instance,
-    block_of,
-    cells_of_block,
     enumerate_solutions,
+    solve_hcp,
+    undirect,
     verify_cycle,
 )
 from sudoku2hcp.labels import (
@@ -49,6 +51,8 @@ from sudoku2hcp.labels import (
     label_row_end,
     vertex_count,
 )
+from sudoku2hcp.solve import Contradiction
+from sudoku2hcp.sudoku import _check_order, block_of, cells_of_block
 from sudoku2hcp.transform import Contraction, Infeasible
 
 # a well-formed 9x9 puzzle with exactly 35 clues and its unique solution,
@@ -175,6 +179,26 @@ def storage(g: DirectedGraph | UndirectedGraph) -> tuple:
     equal exactly when two graphs are stored alike, tuple for tuple."""
     adj = g._succ if isinstance(g, DirectedGraph) else g._adj
     return g.n, g.m, list(adj), adj
+
+
+def triplicate_cycle(cycle: list[int]) -> list[int]:
+    """The undirected cycle of undirect(g) that a directed cycle of g
+    becomes: each vertex v as its in-copy, middle and out-copy (3v - 2,
+    3v - 1, 3v).  Lifting through the triplication journal inverts it."""
+    return [w for v in cycle for w in (3 * v - 2, 3 * v - 1, 3 * v)]
+
+
+def solve_directed(g: DirectedGraph, budget: SolveBudget | None = None) -> SolveOutcome:
+    """Solve a directed instance through the undirected conversion and lift
+    the cycle back through its triplication journal."""
+    ug, lifter = undirect(g)
+    out = solve_hcp(ug, budget)
+    if out.status == "cycle":
+        lifted = lifter.lift(out.cycle)
+        if not verify_cycle(g, lifted):
+            raise RuntimeError("internal error: lifted cycle failed verification")
+        out.cycle = lifted
+    return out
 
 
 def random_directed_arcs(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
@@ -746,6 +770,126 @@ def stage16_seed101_puzzles() -> tuple[str, ...]:
     sys.modules[spec.name] = corpus  # its dataclasses look their module up
     spec.loader.exec_module(corpus)
     return tuple(corpus.puzzles(corpus.WORKLOADS["stage16"], 101))
+
+
+@dataclass(frozen=True, order=True)
+class Role:
+    """A vertex of the encoding named by its family and its indices; the
+    static methods make each family's roles."""
+
+    kind: str
+    args: tuple[int, ...] = ()
+
+    def __repr__(self):
+        if not self.args:
+            return self.kind
+        return f"{self.kind}({', '.join(map(str, self.args))})"
+
+    @staticmethod
+    def start() -> Role:
+        return Role("start")
+
+    @staticmethod
+    def finish() -> Role:
+        return Role("finish")
+
+    @staticmethod
+    def block(a: int, k: int) -> Role:
+        return Role("block", (a, k))
+
+    @staticmethod
+    def row(i: int, k: int) -> Role:
+        return Role("row", (i, k))
+
+    @staticmethod
+    def row_end(i: int) -> Role:
+        return Role("row_end", (i,))
+
+    @staticmethod
+    def col(j: int, k: int) -> Role:
+        return Role("col", (j, k))
+
+    @staticmethod
+    def col_end(j: int) -> Role:
+        return Role("col_end", (j,))
+
+    @staticmethod
+    def cand(i: int, j: int, k: int, slot: int) -> Role:
+        return Role("cand", (i, j, k, slot))
+
+    @staticmethod
+    def cell_end(i: int, j: int) -> Role:
+        return Role("cell_end", (i, j))
+
+    @staticmethod
+    def dup(i: int, j: int, k: int, slot: int) -> Role:
+        return Role("dup", (i, j, k, slot))
+
+    @staticmethod
+    def dup_end(i: int, j: int) -> Role:
+        return Role("dup_end", (i, j))
+
+
+# The vertex layout by role: each family's kind and the upper bound of each
+# of its indices, in label order.  Indices run from 1 and the last one is
+# fastest; "n" stands for the order, and a candidate's slot runs 1..3.
+_LAYOUT = (
+    ("start", ()),
+    ("finish", ()),
+    ("block", ("n", "n")),
+    ("row", ("n", "n")),
+    ("row_end", ("n",)),
+    ("col", ("n", "n")),
+    ("col_end", ("n",)),
+    ("cand", ("n", "n", "n", 3)),
+    ("cell_end", ("n", "n")),
+    ("dup", ("n", "n", "n", 3)),
+    ("dup_end", ("n", "n")),
+)
+
+
+def _families(order: int):
+    """Each family's kind, index bounds and first label, in label order;
+    raises unless the order is a perfect square >= 4."""
+    _check_order(order)
+    first = 1
+    for kind, dims in _LAYOUT:
+        bounds = tuple(order if d == "n" else d for d in dims)
+        yield kind, bounds, first
+        first += prod(bounds)
+
+
+def label_of(role: Role, order: int) -> int:
+    """Numeric label of a role, read off the layout table: the statement of
+    the layout that the library's label_* arithmetic must agree with.
+    Raises on unknown kinds or out-of-range indices."""
+    for kind, bounds, first in _families(order):
+        if kind == role.kind and len(bounds) == len(role.args):
+            break
+    else:
+        raise ValueError(f"malformed role {role!r}")
+    offset = 0
+    for v, bound in zip(role.args, bounds):
+        if not 1 <= v <= bound:
+            raise ValueError(f"role {role!r} out of range for order {order}")
+        offset = offset * bound + v - 1
+    return first + offset
+
+
+def role_of(label: int, order: int) -> Role:
+    """Inverse of label_of."""
+    _check_order(order)
+    total = vertex_count(order)
+    if not 1 <= label <= total:
+        raise ValueError(f"label {label} out of range 1..{total}")
+    for kind, bounds, first in _families(order):
+        if label < first + prod(bounds):
+            break
+    offset, args = label - first, []
+    for bound in reversed(bounds):
+        offset, v = divmod(offset, bound)
+        args.append(v + 1)
+    return Role(kind, tuple(reversed(args)))
 
 
 def _wrap(k: int, n: int) -> int:

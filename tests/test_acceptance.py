@@ -15,13 +15,11 @@ from sudoku2hcp import (
     build_hcp,
     enumerate_solutions,
     graph_stats,
-    label_of,
     lift_cycle,
     parse_sudoku,
     prune_fixed,
     recover_solution,
     reduce_graph,
-    role_of,
     solve_hcp,
     solve_instance,
     undirect,
@@ -30,16 +28,18 @@ from sudoku2hcp import (
     vertex_count,
     witness_cycle,
 )
-from sudoku2hcp import labels as L
 from sudoku2hcp.transform import Infeasible, compress_triples
 from _support import (
     PUZZLE_35,
     SOLUTION_35,
+    Role,
     all_order4_solutions,
     brute_undirected_hamiltonian,
     dodecahedron,
+    label_of,
     petersen,
     random_undirected,
+    role_of,
     well_formed_order4,
 )
 
@@ -90,7 +90,7 @@ def test_criterion_3_average_degree():
 
 def test_criterion_4_pruning_counts():
     g = build_hcp(9)
-    base = g.arc_set()
+    base = set(g.arcs())
     rng = random.Random(40404)
     for _ in range(50):
         i, j, k = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
@@ -99,7 +99,7 @@ def test_criterion_4_pruning_counts():
 
     def clue_removal(i, j, k):
         pruned, _ = prune_fixed(g, SudokuInstance(9, {(i, j): k}))
-        return base - pruned.arc_set()
+        return base - set(pruned.arcs())
 
     solution = parse_sudoku(SOLUTION_35)
     cells = sorted(solution.clues)
@@ -114,7 +114,7 @@ def test_criterion_4_pruning_counts():
         for (i, j), k in clues.items():
             union |= clue_removal(i, j, k)
         assert removed == len(union)
-        assert base - pruned.arc_set() == union
+        assert base - set(pruned.arcs()) == union
         checked += 1
     report(4, "50 single clues remove exactly 96 arcs; 50 multi-clue "
               "removals equal the per-clue union")
@@ -163,20 +163,20 @@ def test_criterion_6_pipeline_oracle_equivalence():
 
 
 def test_criterion_7_label_arithmetic():
-    assert label_of(L.cell_end(1, 1), 9) == 2451
-    assert label_of(L.cand(1, 1, 1, 1), 9) == 264
+    assert label_of(Role.cell_end(1, 1), 9) == 2451
+    assert label_of(Role.cand(1, 1, 1, 1), 9) == 264
     for n in (4, 9):
         for label in range(1, vertex_count(n) + 1):
             assert label_of(role_of(label, n), n) == label
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert (
-                    label_of(L.cell_end(i, j), n)
+                    label_of(Role.cell_end(i, j), n)
                     == 3 * n**3 + 3 * n**2 + (i + 1) * n + (j + 2)
                 )
                 for k in range(1, n + 1):
                     assert (
-                        label_of(L.cand(i, j, k, 1), n)
+                        label_of(Role.cand(i, j, k, 1), n)
                         == 3 * i * n**2 + (3 * j - 1) * n + 3 * k
                     )
     report(7, "closed-form labels match enumeration for every index, N in (4, 9)")
@@ -187,7 +187,7 @@ def test_criterion_8_solver_correctness():
     agree = 0
     for _ in range(200):
         g = random_undirected(rng, rng.randint(4, 10), 0.4)
-        brute = brute_undirected_hamiltonian(g.n, g.edge_set())
+        brute = brute_undirected_hamiltonian(g.n, set(g.edges()))
         outcome = solve_hcp(g)
         if brute is None:
             assert outcome.status == "no_cycle"

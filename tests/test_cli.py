@@ -1,9 +1,11 @@
 import argparse
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+import sudoku2hcp
 from sudoku2hcp import (
     blank_instance,
     build_hcp,
@@ -18,8 +20,7 @@ from sudoku2hcp import (
 )
 from sudoku2hcp.cli import _parser, main
 from sudoku2hcp.formats import export_graph
-from sudoku2hcp.transform import triplicate_cycle
-from _support import all_order4_solutions, peak_bytes
+from _support import all_order4_solutions, peak_bytes, triplicate_cycle
 
 BLANK4 = "." * 16
 PUZZLE4 = "1...2..3......2."
@@ -245,6 +246,17 @@ def test_files_take_plain_numbers_only(tmp_path, capsys, name, text, err):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+def test_megabyte_header_quoted_bounded(tmp_path, capsys):
+    # a bad line is quoted by a bounded prefix and its length
+    graph = tmp_path / "g.dhcp"
+    graph.write_text("x" * 2_000_000 + "\n")
+    argv = ["undirect", graph, "-o", tmp_path / "u.uhcp", "--journal-out", tmp_path / "u.journal"]
+    assert main(list(map(str, argv))) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: bad header '{'x' * 60}'… (2000000 characters)\n"
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("command", ["recover", "verify"])
 def test_vertex_line_of_thousands_of_digits(tmp_path, capsys, command):
     # int() refuses it in its own words; the reader names the line
@@ -258,7 +270,8 @@ def test_vertex_line_of_thousands_of_digits(tmp_path, capsys, command):
         "verify": ["verify", graph, cycle],
     }[command]
     assert main(list(map(str, argv))) == 3
-    assert capsys.readouterr().err == f"error: non-integer vertex line '{long}'\n"
+    err = f"error: non-integer vertex line '{'4' * 60}'… (5000 characters)\n"
+    assert capsys.readouterr().err == err
 
 
 def test_verify_grid(puzzle_file, capsys):
@@ -413,3 +426,31 @@ def test_readme_synopsis_matches_the_parser():
             named.append(option)
             assert option in commands[cmd]._option_string_actions, (cmd, option)
     assert len(named) > 10
+
+
+# names that left the package: test oracles now in tests/_support.py, or
+# names that stay in their submodule (sudoku2hcp.solve, sudoku2hcp.sudoku)
+_NOT_PUBLIC = (
+    "Role", "label_of", "role_of", "solve_directed", "triplicate_cycle",
+    "SolveState", "propagate", "Contradiction", "block_of", "cells_of_block",
+)
+
+
+def test_readme_table_names_the_public_surface():
+    # the "public names" column of README's module table is __all__, each
+    # name defined in a module of its row
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## What is in the box\n", 1)[1].split("\n## ", 1)[0]
+    rows = [ln for ln in section.splitlines() if ln.startswith("| `sudoku2hcp.")]
+    named = []
+    for row in rows:
+        modules, _, names = row.strip("|").split(" | ")
+        found = re.findall(r"`(\w+)`", names)
+        homes = [importlib.import_module(m) for m in re.findall(r"`([\w.]+)`", modules)]
+        for name in found:
+            assert any(name in vars(home) for home in homes), (modules, name)
+        named += found
+    assert len(named) == len(set(named)) == len(sudoku2hcp.__all__)
+    assert set(named) == set(sudoku2hcp.__all__)
+    for name in _NOT_PUBLIC:
+        assert not hasattr(sudoku2hcp, name), name

@@ -7,24 +7,24 @@ from sudoku2hcp import (
     SudokuInstance,
     arc_count,
     blank_instance,
-    block_of,
     build_hcp,
     clue_redundant_arcs,
     enumerate_solutions,
-    label_of,
     prune_fixed,
     recover_solution,
-    role_of,
     verify_cycle,
     vertex_count,
     witness_cycle,
 )
 from sudoku2hcp import construct
-from sudoku2hcp import labels as L
+from sudoku2hcp.sudoku import block_of
 from _support import (
+    Role,
     all_order4_solutions,
     build_hcp_by_arcs,
     clue_redundant_arcs_by_labels,
+    label_of,
+    role_of,
     storage,
 )
 
@@ -38,9 +38,9 @@ def naive_out_neighbours(role, n):
     for every role, the list of roles its arcs point at."""
     kind, args = role.kind, role.args
     if kind == "start":
-        return [L.block(1, 1)]
+        return [Role.block(1, 1)]
     if kind == "finish":
-        return [L.start()]
+        return [Role.start()]
     if kind == "block":
         a, k = args
         cells = [
@@ -49,51 +49,51 @@ def naive_out_neighbours(role, n):
             for j in range(1, n + 1)
             if block_of(i, j, n) == a
         ]
-        return [L.cand(i, j, wrap(k + 1, n), 1) for i, j in cells]
+        return [Role.cand(i, j, wrap(k + 1, n), 1) for i, j in cells]
     if kind == "row":
         i, k = args
-        return [L.cand(i, j, k, 3) for j in range(1, n + 1)]
+        return [Role.cand(i, j, k, 3) for j in range(1, n + 1)]
     if kind == "row_end":
         (i,) = args
-        return [L.row(i + 1, 1)] if i < n else [L.col(1, 1)]
+        return [Role.row(i + 1, 1)] if i < n else [Role.col(1, 1)]
     if kind == "col":
         j, k = args
-        return [L.dup(i, j, k, 3) for i in range(1, n + 1)]
+        return [Role.dup(i, j, k, 3) for i in range(1, n + 1)]
     if kind == "col_end":
         (j,) = args
-        return [L.col(j + 1, 1)] if j < n else [L.finish()]
+        return [Role.col(j + 1, 1)] if j < n else [Role.finish()]
     if kind == "cand":
         i, j, k, slot = args
         if slot == 1:
-            return [L.cand(i, j, k, 2), L.cell_end(i, j)]
+            return [Role.cand(i, j, k, 2), Role.cell_end(i, j)]
         if slot == 2:
-            return [L.cand(i, j, k, 1), L.cand(i, j, k, 3)]
+            return [Role.cand(i, j, k, 1), Role.cand(i, j, k, 3)]
         return [
-            L.cand(i, j, k, 2),
-            L.cand(i, j, wrap(k + 1, n), 1),
-            L.dup(i, j, wrap(k + 2, n), 1),
+            Role.cand(i, j, k, 2),
+            Role.cand(i, j, wrap(k + 1, n), 1),
+            Role.dup(i, j, wrap(k + 2, n), 1),
         ]
     if kind == "cell_end":
         i, j = args
-        return [L.row(i, k) for k in range(1, n + 1)] + [L.row_end(i)]
+        return [Role.row(i, k) for k in range(1, n + 1)] + [Role.row_end(i)]
     if kind == "dup":
         i, j, k, slot = args
         if slot == 1:
-            return [L.dup(i, j, k, 2), L.dup_end(i, j)]
+            return [Role.dup(i, j, k, 2), Role.dup_end(i, j)]
         if slot == 2:
-            return [L.dup(i, j, k, 1), L.dup(i, j, k, 3)]
-        out = [L.dup(i, j, k, 2), L.dup(i, j, wrap(k + 1, n), 1)]
+            return [Role.dup(i, j, k, 1), Role.dup(i, j, k, 3)]
+        out = [Role.dup(i, j, k, 2), Role.dup(i, j, wrap(k + 1, n), 1)]
         a = block_of(i, j, n)
         if k != n - 1:
-            out.append(L.block(a, wrap(k + 2, n)))
+            out.append(Role.block(a, wrap(k + 2, n)))
         elif a < n:
-            out.append(L.block(a + 1, 1))
+            out.append(Role.block(a + 1, 1))
         else:
-            out.append(L.row(1, 1))
+            out.append(Role.row(1, 1))
         return out
     assert kind == "dup_end"
     i, j = args
-    return [L.col(j, k) for k in range(1, n + 1)] + [L.col_end(j)]
+    return [Role.col(j, k) for k in range(1, n + 1)] + [Role.col_end(j)]
 
 
 class TestBuild:
@@ -111,7 +111,7 @@ class TestBuild:
             role = role_of(label, 4)
             for target in naive_out_neighbours(role, 4):
                 expected.add((label, label_of(target, 4)))
-        assert g.arc_set() == expected
+        assert set(g.arcs()) == expected
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_count_formulas(self, n):
@@ -125,9 +125,9 @@ class TestBuild:
         for i in range(1, 5):
             for j in range(1, 5):
                 for k in range(1, 5):
-                    for fam in (L.cand, L.dup):
+                    for fam in (Role.cand, Role.dup):
                         v = label_of(fam(i, j, k, 2), 4)
-                        assert g.out_degree(v) == 2
+                        assert len(g.successors(v)) == 2
                         assert ins[v] == 2
                         nbrs = set(g.successors(v))
                         assert nbrs == {v - 1, v + 1}
@@ -197,12 +197,12 @@ class TestPrune:
         pruned, removed = prune_fixed(g, inst)
         assert removed < 192
         # brute-force union oracle via per-clue graph differences
-        base = g.arc_set()
-        removed_a = base - prune_fixed(g, SudokuInstance(9, {(1, 1): 1}))[0].arc_set()
-        removed_b = base - prune_fixed(g, SudokuInstance(9, {(1, 2): 2}))[0].arc_set()
+        base = set(g.arcs())
+        removed_a = base - set(prune_fixed(g, SudokuInstance(9, {(1, 1): 1}))[0].arcs())
+        removed_b = base - set(prune_fixed(g, SudokuInstance(9, {(1, 2): 2}))[0].arcs())
         union = removed_a | removed_b
         assert removed == len(union)
-        assert base - pruned.arc_set() == union
+        assert base - set(pruned.arcs()) == union
 
     def test_per_clue_family_is_disjoint_union(self):
         # a single clue's twelve families never overlap
@@ -248,7 +248,7 @@ class TestWitness:
         sol = all_order4_solutions()[0]
         w = witness_cycle(blank_instance(4), sol)
         assert w[0] == 1
-        assert w[1] == label_of(L.block(1, 1), 4)
+        assert w[1] == label_of(Role.block(1, 1), 4)
         assert w[-1] == 2  # finish, wrapping back to start
 
     def test_block_vertex_precedes_next_candidate(self):
@@ -264,8 +264,8 @@ class TestWitness:
                     for j in range(1, n + 1)
                     if block_of(i, j, n) == a and sol.value(i, j) == k
                 )
-                b = label_of(L.block(a, k), n)
-                x = label_of(L.cand(*cell, wrap(k + 1, n), 1), n)
+                b = label_of(Role.block(a, k), n)
+                x = label_of(Role.cand(*cell, wrap(k + 1, n), 1), n)
                 assert pos[x] == pos[b] + 1
 
     def test_witness_survives_prune_when_clues_in_solution(self):
@@ -296,8 +296,7 @@ class TestWitness:
         # with up to 6 random clues, every solution's witness survives the
         # pruned graph, and solving the pruned graph never produces a grid
         # outside the solution set
-        from sudoku2hcp import solve_directed
-        from _support import random_consistent_instance
+        from _support import random_consistent_instance, solve_directed
 
         rng = random.Random(606)
         g = build_hcp(4)
@@ -331,8 +330,8 @@ class TestRecover:
         w = witness_cycle(blank_instance(4), sol)
         # swap a cell_end vertex with a far-away one to break its neighbours
         pos = {lab: idx for idx, lab in enumerate(w)}
-        a = pos[label_of(L.cell_end(1, 1), 4)]
-        b = pos[label_of(L.cell_end(3, 3), 4)]
+        a = pos[label_of(Role.cell_end(1, 1), 4)]
+        b = pos[label_of(Role.cell_end(3, 3), 4)]
         broken = w[:]
         broken[a], broken[b] = broken[b], broken[a]
         with pytest.raises(ValueError):
@@ -341,12 +340,12 @@ class TestRecover:
     @pytest.mark.parametrize(
         "offset, role",
         [
-            (1, L.cand(2, 3, 1, 2)),
-            (2, L.cand(2, 3, 1, 3)),
-            (10, L.cand(2, 3, 4, 2)),
-            (11, L.cand(2, 3, 4, 3)),
-            (-3, L.cand(2, 2, 4, 1)),
-            (12, L.cand(2, 4, 1, 1)),
+            (1, Role.cand(2, 3, 1, 2)),
+            (2, Role.cand(2, 3, 1, 3)),
+            (10, Role.cand(2, 3, 4, 2)),
+            (11, Role.cand(2, 3, 4, 3)),
+            (-3, Role.cand(2, 2, 4, 1)),
+            (12, Role.cand(2, 4, 1, 1)),
         ],
     )
     def test_only_the_cells_own_slot1_candidates_count(self, offset, role):
@@ -361,10 +360,10 @@ class TestRecover:
         )
         w = witness_cycle(blank_instance(n), sol)
         stranger = label_of(role, n)
-        assert stranger == label_of(L.cand(2, 3, 1, 1), n) + offset
-        own = label_of(L.cand(2, 3, sol.value(2, 3), 1), n)
+        assert stranger == label_of(Role.cand(2, 3, 1, 1), n) + offset
+        own = label_of(Role.cand(2, 3, sol.value(2, 3), 1), n)
         pos = {lab: idx for idx, lab in enumerate(w)}
-        cell_end = pos[label_of(L.cell_end(2, 3), n)]
+        cell_end = pos[label_of(Role.cell_end(2, 3), n)]
         assert own in (w[cell_end - 1], w[cell_end + 1])
         broken = w[:]
         broken[pos[own]], broken[pos[stranger]] = stranger, own
@@ -376,7 +375,7 @@ class TestRecover:
 
     def test_neighbour_outside_the_labels_rejected(self):
         w = witness_cycle(blank_instance(4), all_order4_solutions()[0])
-        idx = w.index(label_of(L.cell_end(1, 1), 4))
+        idx = w.index(label_of(Role.cell_end(1, 1), 4))
         broken = w[:]
         broken[idx - 1] = 0
         with pytest.raises(ValueError, match="^label 0 out of range 1..474$"):
@@ -394,5 +393,5 @@ class TestRecover:
         pos = {lab: idx for idx, lab in enumerate(w)}
         idx = pos[2451]
         neighbours = {w[idx - 1], w[(idx + 1) % len(w)]}
-        assert label_of(L.cand(1, 1, 5, 1), 9) in neighbours
+        assert label_of(Role.cand(1, 1, 5, 1), 9) in neighbours
         assert recover_solution(w, 9).value(1, 1) == 5

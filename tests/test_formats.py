@@ -217,18 +217,60 @@ _LONG = "4" * 5000
 @pytest.mark.parametrize(
     "read, text, err",
     [
-        (import_graph, f"DHCP {_LONG} 1\n1 2\n", f"bad header 'DHCP {_LONG} 1'"),
-        (import_graph, f"DHCP 3 1\n{_LONG} 2\n", f"bad edge line '{_LONG} 2'"),
-        (read_cycle, f"CYCLE {_LONG}\n1\n", f"bad header 'CYCLE {_LONG}'"),
-        (read_cycle, f"CYCLE 3\n1\n{_LONG}\n3\n", f"non-integer vertex line '{_LONG}'"),
-        (load_journal, f"T {_LONG}\n", f"bad journal line 'T {_LONG}'"),
+        (import_graph, f"DHCP {_LONG} 1\n1 2\n",
+         "bad header 'DHCP " + "4" * 55 + "'… (5007 characters)"),
+        (import_graph, f"DHCP 3 1\n{_LONG} 2\n",
+         "bad edge line '" + "4" * 60 + "'… (5002 characters)"),
+        (read_cycle, f"CYCLE {_LONG}\n1\n",
+         "bad header 'CYCLE " + "4" * 54 + "'… (5006 characters)"),
+        (read_cycle, f"CYCLE 3\n1\n{_LONG}\n3\n",
+         "non-integer vertex line '" + "4" * 60 + "'… (5000 characters)"),
+        (load_journal, f"T {_LONG}\n",
+         "bad journal line 'T " + "4" * 58 + "'… (5002 characters)"),
     ],
     ids=["graph-header", "edge-line", "cycle-header", "vertex-line", "journal-line"],
 )
 def test_thousands_of_digits_named(read, text, err):
-    # plain ASCII digits, which int() refuses past 4300 in its own words
+    # plain ASCII digits, which int() refuses past 4300 in its own words;
+    # the message quotes the line's first 60 characters and its length
     with pytest.raises(ValueError, match="^" + re.escape(err) + "$"):
         read(text)
+
+
+_MB = "x" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "read, text, err",
+    [
+        (import_graph, f"{_MB}\n", "bad header"),
+        (import_graph, f"DHCP 3 1\n1 {_MB}\n", "bad edge line"),
+        (import_graph, f"DHCP 3 1\n1 +{_MB}\n", "bad edge line"),
+        (read_cycle, f"CYCLE 1 {_MB}\n1\n", "bad header"),
+        (read_cycle, f"CYCLE 1\n{_MB}\n", "non-integer vertex line"),
+        (read_cycle, f"CYCLE 1\n+{_MB}\n", "non-integer vertex line"),
+        (load_journal, f"T {_MB}\n", "bad journal line"),
+        (load_journal, f"T +{_MB}\n", "bad journal line"),
+    ],
+    ids=["graph-header", "edge-line", "edge-line-plus", "cycle-header",
+         "vertex-line", "vertex-line-plus", "journal-line", "journal-line-plus"],
+)
+def test_long_bad_line_quoted_bounded(read, text, err):
+    # a megabyte line is named by a bounded prefix and its length, on the
+    # path that splits the line and on the one that finds it by _plain
+    with pytest.raises(ValueError) as info:
+        read(text)
+    msg = str(info.value)
+    assert msg.startswith(err + " '") and len(msg) < 120
+    assert re.fullmatch(r"'[^']{60}'… \(\d+ characters\)", msg[len(err) + 1:])
+
+
+@pytest.mark.parametrize("size, quoted", [(60, True), (61, False)])
+def test_bad_line_quoted_whole_up_to_60_characters(size, quoted):
+    line = "x" * size
+    want = repr(line) if quoted else f"'{'x' * 60}'… (61 characters)"
+    with pytest.raises(ValueError, match="^" + re.escape(f"bad journal line {want}") + "$"):
+        load_journal(line + "\n")
 
 
 class TestJournalFormat:

@@ -1,28 +1,29 @@
 import pytest
 
-from sudoku2hcp import label_of, order_for_vertex_count, role_of, vertex_count
+from sudoku2hcp import order_for_vertex_count, vertex_count
 from sudoku2hcp import labels as L
+from _support import Role, label_of, role_of
 
 
 class TestKnownLabels:
     def test_start_and_finish(self):
-        assert label_of(L.start(), 9) == 1
-        assert label_of(L.finish(), 9) == 2
-        assert role_of(1, 9) == L.start()
-        assert role_of(2, 9) == L.finish()
+        assert label_of(Role.start(), 9) == 1
+        assert label_of(Role.finish(), 9) == 2
+        assert role_of(1, 9) == Role.start()
+        assert role_of(2, 9) == Role.finish()
 
     def test_first_block_vertex(self):
-        assert role_of(3, 9) == L.block(1, 1)
+        assert role_of(3, 9) == Role.block(1, 1)
 
     def test_cell_end_11_at_order_9(self):
-        assert label_of(L.cell_end(1, 1), 9) == 2451
+        assert label_of(Role.cell_end(1, 1), 9) == 2451
 
     def test_cand_1111_at_order_9(self):
-        assert label_of(L.cand(1, 1, 1, 1), 9) == 264
+        assert label_of(Role.cand(1, 1, 1, 1), 9) == 264
 
     def test_last_label(self):
         assert vertex_count(9) == 4799
-        assert role_of(4799, 9) == L.dup_end(9, 9)
+        assert role_of(4799, 9) == Role.dup_end(9, 9)
 
 
 class TestBijection:
@@ -54,12 +55,12 @@ class TestBijection:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert (
-                    label_of(L.cell_end(i, j), n)
+                    label_of(Role.cell_end(i, j), n)
                     == 3 * n**3 + 3 * n**2 + (i + 1) * n + (j + 2)
                 )
                 for k in range(1, n + 1):
                     assert (
-                        label_of(L.cand(i, j, k, 1), n)
+                        label_of(Role.cand(i, j, k, 1), n)
                         == 3 * i * n**2 + (3 * j - 1) * n + 3 * k
                     )
 
@@ -91,15 +92,15 @@ class TestErrors:
 
     def test_role_out_of_range(self):
         with pytest.raises(ValueError):
-            label_of(L.block(10, 1), 9)
+            label_of(Role.block(10, 1), 9)
         with pytest.raises(ValueError):
-            label_of(L.cand(1, 1, 1, 4), 9)
+            label_of(Role.cand(1, 1, 1, 4), 9)
         with pytest.raises(ValueError):
-            label_of(L.Role("block", (1,)), 9)
+            label_of(Role("block", (1,)), 9)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            label_of(L.start(), 5)
+            label_of(Role.start(), 5)
 
 
 class TestCounts:

@@ -3,25 +3,21 @@ import random
 import pytest
 
 from sudoku2hcp import (
-    Contradiction,
     DirectedGraph,
     SolveBudget,
-    SolveState,
     SudokuInstance,
     UndirectedGraph,
     blank_instance,
     build_hcp,
     parse_sudoku,
-    propagate,
     prune_fixed,
     reduce_graph,
-    solve_directed,
     solve_hcp,
     undirect,
     verify_cycle,
     witness_cycle,
 )
-from sudoku2hcp.solve import _pick_branch_edge
+from sudoku2hcp.solve import Contradiction, SolveState, _pick_branch_edge, propagate
 from sudoku2hcp.transform import Infeasible
 from _support import (
     PUZZLE_35,
@@ -35,6 +31,7 @@ from _support import (
     propagate_by_scan,
     random_directed_arcs,
     random_undirected,
+    solve_directed,
     solve_hcp_by_scan,
     well_formed_order4,
 )
@@ -148,7 +145,7 @@ class TestPropagate:
         graphs = 0
         for _ in range(60):
             g = random_undirected(rng, rng.randint(6, 10), 0.55)
-            cycles = all_undirected_hamiltonian_cycles(g.n, g.edge_set())
+            cycles = all_undirected_hamiltonian_cycles(g.n, set(g.edges()))
             state = SolveState(g)
             try:
                 propagate(state)
@@ -177,12 +174,12 @@ class TestPropagate:
 
 class TestSolve:
     def test_petersen_no_cycle(self):
-        assert brute_undirected_hamiltonian(10, petersen().edge_set()) is None
+        assert brute_undirected_hamiltonian(10, set(petersen().edges())) is None
         assert solve_hcp(petersen()).status == "no_cycle"
 
     def test_dodecahedron_cycle(self):
         g = dodecahedron()
-        assert brute_undirected_hamiltonian(20, g.edge_set()) is not None
+        assert brute_undirected_hamiltonian(20, set(g.edges())) is not None
         out = solve_hcp(g)
         assert out.status == "cycle"
         assert verify_cycle(g, out.cycle)
@@ -191,7 +188,7 @@ class TestSolve:
         rng = random.Random(314159)
         for _ in range(60):
             g = random_undirected(rng, rng.randint(4, 10), 0.4)
-            expected = brute_undirected_hamiltonian(g.n, g.edge_set())
+            expected = brute_undirected_hamiltonian(g.n, set(g.edges()))
             out = solve_hcp(g)
             if expected is None:
                 assert out.status == "no_cycle"

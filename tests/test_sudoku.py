@@ -10,14 +10,13 @@ from sudoku2hcp import (
     Grid,
     SudokuInstance,
     blank_instance,
-    block_of,
-    cells_of_block,
     enumerate_solutions,
     format_grid,
     parse_grid,
     parse_sudoku,
     validate_grid,
 )
+from sudoku2hcp.sudoku import block_of, cells_of_block
 from _support import all_order4_solutions, enumerate_solutions_recursive
 
 
@@ -110,6 +109,15 @@ class TestParse:
     def test_grid_order_takes_ascii_digits_only(self):
         with pytest.raises(ValueError, match="^expected order as first token, got '\\+4'$"):
             parse_sudoku("+4\n" + "0 " * 16)
+
+    def test_long_bad_token_quoted_bounded(self):
+        # a megabyte token is named by its first 60 characters and length
+        tok = "x" * 1_000_000
+        head = re.escape(f"'{'x' * 60}'… (1000000 characters)")
+        with pytest.raises(ValueError, match=f"^expected order as first token, got {head}$"):
+            parse_sudoku(tok + "\n" + "0 " * 16)
+        with pytest.raises(ValueError, match=f"^bad cell token {head}$"):
+            parse_sudoku("4\n" + tok + " 0 0 0" + "\n0 0 0 0" * 3)
 
     def test_grid_order_of_thousands_of_digits(self):
         # int() would refuse a 5000-digit order with Python's own message

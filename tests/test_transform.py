@@ -19,7 +19,6 @@ from sudoku2hcp import (
     recover_solution,
     reduce_graph,
     solve_hcp,
-    triplicate_cycle,
     undirect,
     verify_cycle,
     witness_cycle,
@@ -42,6 +41,7 @@ from _support import (
     reduce_graph_by_passes,
     stage16_seed101_puzzles,
     storage,
+    triplicate_cycle,
     well_formed_order4,
 )
 
@@ -61,7 +61,7 @@ class TestUndirect:
     def test_single_arc_graph(self):
         ug, _ = undirect(DirectedGraph(2, [(1, 2)]))
         assert ug.n == 6
-        assert ug.edge_set() == {(1, 2), (2, 3), (4, 5), (5, 6), (3, 4)}
+        assert set(ug.edges()) == {(1, 2), (2, 3), (4, 5), (5, 6), (3, 4)}
 
     def test_average_degree_values(self):
         ug4, _ = undirect(build_hcp(4))
@@ -82,7 +82,7 @@ class TestUndirect:
             directed = brute_directed_hamiltonian(n, arcs) is not None
             ug, _ = undirect(g)
             undirected = (
-                brute_undirected_hamiltonian(ug.n, ug.edge_set()) is not None
+                brute_undirected_hamiltonian(ug.n, set(ug.edges())) is not None
             )
             assert directed == undirected
             checked += 1
@@ -112,10 +112,10 @@ class TestUndirectMatchesEdgeList:
             heads = {v for _, v in g.arcs()}
             shapes["n=1"] += n == 1
             shapes["isolated"] += any(
-                v not in heads and not g.out_degree(v) for v in range(1, n + 1)
+                v not in heads and not g.successors(v) for v in range(1, n + 1)
             )
             shapes["no in-arcs"] += len(heads) < n
-            shapes["no out-arcs"] += any(not g.out_degree(v) for v in range(1, n + 1))
+            shapes["no out-arcs"] += any(not g.successors(v) for v in range(1, n + 1))
             ug, lifter = undirect(g)
             assert storage(ug) == storage(undirect_by_edge_list(g))
             assert lifter == CycleLifter((Triplication(n),))
@@ -325,7 +325,7 @@ class TestReduce:
         g = UndirectedGraph(5, edges)
         out = reduce_graph(g)
         assert isinstance(out, Infeasible)
-        assert brute_undirected_hamiltonian(5, g.edge_set()) is None
+        assert brute_undirected_hamiltonian(5, set(g.edges())) is None
 
     def test_forced_short_cycle_infeasible(self):
         # a triangle hanging off a larger graph via one vertex
@@ -333,7 +333,7 @@ class TestReduce:
         g = UndirectedGraph(6, edges)
         out = reduce_graph(g)
         assert isinstance(out, Infeasible)
-        assert brute_undirected_hamiltonian(6, g.edge_set()) is None
+        assert brute_undirected_hamiltonian(6, set(g.edges())) is None
 
     def test_fewer_edges_than_vertices_short_circuit(self):
         g = UndirectedGraph(100_000, [(1, 2), (2, 3), (1, 3)])
@@ -646,7 +646,7 @@ class TestReduceMatchesPassByPass:
         reduced, lifter = reduce_graph(g)
         assert lifter.records == (Contraction(1, (2, 1, 9), (3, 4)),)
         assert save_journal(lifter) == "p 1 3 4 2 1 9\n"
-        assert reduced.n == 7 and reduced.edge_set() >= {(1, 2), (1, 3)}
+        assert reduced.n == 7 and set(reduced.edges()) >= {(1, 2), (1, 3)}
 
     def test_four_cycle_ends_in_triangle(self):
         # a cycle of degree-2 vertices takes the step-by-step walk: one
@@ -656,7 +656,7 @@ class TestReduceMatchesPassByPass:
         assert reduce_text(out) == oracle_text(reduce_graph_by_passes(g))
         reduced, lifter = out
         assert lifter.records == (Contraction(1, (1, 2), (4, 3)),)
-        assert reduced.edge_set() == {(1, 2), (1, 3), (2, 3)}
+        assert set(reduced.edges()) == {(1, 2), (1, 3), (2, 3)}
         assert lift_cycle(lifter, [1, 2, 3]) == [1, 2, 3, 4]
 
     def test_path_ends_at_one_vertex(self):
