@@ -18,7 +18,7 @@ from itertools import chain
 from math import isqrt
 from operator import contains, itemgetter, lt
 
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, _gc_paused
 from .labels import (
     FINISH,
     START,
@@ -50,6 +50,7 @@ def _wrap(k: int, n: int) -> int:
     return (k - 1) % n + 1
 
 
+@_gc_paused
 def build_hcp(order: int) -> DirectedGraph:
     """Directed encoding graph for a blank puzzle of the given order.
 
@@ -226,6 +227,7 @@ def redundant_arcs(instance: SudokuInstance) -> Iterator[tuple[int, int]]:
     )
 
 
+@_gc_paused
 def prune_fixed(
     graph: DirectedGraph, instance: SudokuInstance
 ) -> tuple[DirectedGraph, int]:

@@ -8,7 +8,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
-from .graphs import DirectedGraph, UndirectedGraph
+from .graphs import DirectedGraph, UndirectedGraph, _gc_paused
 from .sudoku import _plain, _quote
 from .transform import Contraction, CycleLifter, GadgetRemoval, Triplication
 
@@ -32,6 +32,7 @@ def _pair_lines(pairs: Iterable[tuple[int, int]]) -> str:
     return ("%d %d\n" * (len(flat) // 2)) % flat
 
 
+@_gc_paused
 def import_graph(text: str) -> DirectedGraph | UndirectedGraph:
     """Inverse of export_graph; rejects malformed or inconsistent input."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -79,7 +80,7 @@ def export_tsplib_hcp(g: UndirectedGraph, name: str) -> str:
     the file stays ASCII, as every file the package writes is.
     """
     if not name or not name.isprintable() or not name.isascii():
-        raise ValueError(f"TSPLIB name must be non-empty and printable ASCII, got {name!r}")
+        raise ValueError(f"TSPLIB name must be non-empty and printable ASCII, got {_quote(name)}")
     head = (
         f"NAME: {name}\n"
         "TYPE: HCP\n"
@@ -154,6 +155,7 @@ def save_journal(lifter: CycleLifter) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+@_gc_paused
 def load_journal(text: str) -> CycleLifter:
     """Inverse of save_journal.  A line of any other kind or shape, such as
     the pair ('c', 'd') and renumbered ('G', 'C', 'D') records that older

@@ -16,9 +16,34 @@ immutable; transforms return new graphs.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
+from functools import wraps
 from itertools import filterfalse
 from typing import Iterable, Iterator
+
+
+def _gc_paused(fn):
+    """fn with CPython's cyclic garbage collector paused while it runs.
+
+    The graph-sized calls allocate tens of thousands of tuples, lists and
+    records and make no reference cycles (tests/test_gc_pause.py checks
+    it), so reference counting frees all they drop; the collector would
+    only rescan the rest, by default every 700 container allocations.  It
+    is turned back on when fn returns or raises, unless it was already off
+    on entry: the caller's gc.disable(), or an outer paused call."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _sorted_adjacency(lists: dict, n: int, kind: str) -> dict[int, tuple[int, ...]]:

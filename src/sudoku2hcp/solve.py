@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import contains
 
-from .graphs import DirectedGraph, UndirectedGraph
+from .graphs import DirectedGraph, UndirectedGraph, _gc_paused
 from .transform import _uncoverable
 
 
@@ -314,6 +314,7 @@ def _pick_branch_edge(state: SolveState) -> int | None:
     return None
 
 
+@_gc_paused
 def solve_hcp(
     g: UndirectedGraph,
     budget: SolveBudget | None = None,

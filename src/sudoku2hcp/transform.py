@@ -26,18 +26,18 @@ from functools import partial
 from itertools import accumulate, chain, compress, pairwise
 from typing import Callable
 
-from .graphs import DirectedGraph, UndirectedGraph
+from .graphs import DirectedGraph, UndirectedGraph, _gc_paused
 from .labels import label_cand, label_dup, order_for_vertex_count, vertex_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triplication:
     """Directed graph on n vertices became an undirected one on 3n."""
 
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GadgetRemoval:
     """Degree-2 vertex `removed` deleted, its neighbours `left` and `right`
     bridged by a new edge."""
@@ -47,7 +47,7 @@ class GadgetRemoval:
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contraction:
     """A path of degree-2 vertices collapsed into one of them, `survivor`.
 
@@ -70,14 +70,14 @@ class Contraction:
 Record = Triplication | GadgetRemoval | Contraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Infeasible:
     """Certificate that the input graph has no Hamiltonian cycle."""
 
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleLifter:
     """Journal of transform records, applied first to last."""
 
@@ -140,6 +140,7 @@ def mid_copy(v: int) -> int:
     return 3 * v - 1
 
 
+@_gc_paused
 def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     """Undirected equivalent of a directed graph.
 
@@ -215,6 +216,7 @@ def _uncoverable(g: UndirectedGraph) -> str | None:
     return None
 
 
+@_gc_paused
 def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     """Drop the removable middle vertex of every candidate-triple gadget.
 
@@ -256,6 +258,7 @@ def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     return _renumbered(adj), CycleLifter(records)
 
 
+@_gc_paused
 def reduce_graph(
     g: UndirectedGraph,
 ) -> tuple[UndirectedGraph, CycleLifter] | Infeasible:

@@ -251,6 +251,13 @@ def well_formed_order4(rng: random.Random):
     return SudokuInstance(4, clues), solution
 
 
+def thinning(grid: Grid, count: int, rng: random.Random) -> SudokuInstance:
+    """count cells of a solved grid, drawn at random, as clues."""
+    n = grid.order
+    cells = rng.sample([(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], count)
+    return SudokuInstance(n, {(i, j): grid.value(i, j) for i, j in cells})
+
+
 def random_consistent_instance(
     rng: random.Random, order: int, max_clues: int
 ) -> SudokuInstance:

@@ -167,6 +167,20 @@ class TestTsplib:
         with pytest.raises(ValueError, match="^TSPLIB name must be non-empty and printable"):
             export_tsplib_hcp(g, name)
 
+    def test_rejected_name_quoted_bounded(self):
+        # a short name is quoted whole; a megabyte one by a bounded prefix
+        # and its length, as the readers quote a bad line
+        g = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
+        prefix = "TSPLIB name must be non-empty and printable ASCII, got "
+        with pytest.raises(ValueError) as info:
+            export_tsplib_hcp(g, "café")
+        assert str(info.value) == prefix + "'café'"
+        with pytest.raises(ValueError) as info:
+            export_tsplib_hcp(g, "é" * 10**6)
+        msg = str(info.value)
+        assert msg.startswith(prefix + "'éé") and len(msg) < 300
+        assert msg.endswith("… (1000000 characters)")
+
     def test_name_may_hold_spaces(self):
         g = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
         assert export_tsplib_hcp(g, "order 4 blank").splitlines()[:2] == [

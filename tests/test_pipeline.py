@@ -29,6 +29,7 @@ from _support import (
     all_order4_solutions,
     random_consistent_instance,
     storage,
+    thinning,
 )
 
 
@@ -63,13 +64,6 @@ def test_grid_validated(monkeypatch):
         solve_instance(blank_instance(4))
 
 
-def _thinning(grid: Grid, count: int, rng: random.Random) -> SudokuInstance:
-    """count cells of a solved grid, drawn at random, as clues."""
-    n = grid.order
-    cells = rng.sample([(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], count)
-    return SudokuInstance(n, {(i, j): grid.value(i, j) for i, j in cells})
-
-
 class TestDerivedEncoding:
     """solve_instance prunes and triplicates every puzzle from the cached
     blank encoding, whether it is the first of its order or not, so its
@@ -91,9 +85,9 @@ class TestDerivedEncoding:
         rng = random.Random(1111)
         sols = all_order4_solutions()
         instances = [blank_instance(4), parse_sudoku(PUZZLE_35)]
-        instances += [_thinning(rng.choice(sols), rng.randint(1, 16), rng) for _ in range(20)]
+        instances += [thinning(rng.choice(sols), rng.randint(1, 16), rng) for _ in range(20)]
         solution = parse_grid(SOLUTION_35)
-        instances += [_thinning(solution, count, rng) for count in (17, 30, 60)]
+        instances += [thinning(solution, count, rng) for count in (17, 30, 60)]
         instances.append(blank_instance(4))  # back to order 4 after order 9
         config = PipelineConfig(budget=SolveBudget(max_nodes=1))
         for count, inst in enumerate(instances, 1):
@@ -129,7 +123,7 @@ class TestDerivedEncoding:
         rng = random.Random(2222)
         sols = all_order4_solutions()
         for _ in range(10):
-            res = solve_instance(_thinning(rng.choice(sols), rng.randint(1, 6), rng))
+            res = solve_instance(thinning(rng.choice(sols), rng.randint(1, 6), rng))
             assert res.status == "solved"
             assert res.directed is not cached
         assert pipeline._blank_encoding(4) is cached
@@ -159,7 +153,7 @@ def test_order16_run_matches_the_stage_chain(monkeypatch):
     grid = _pattern_grid(16)
     assert validate_grid(blank_instance(16), grid) == []
     for count in (220, 200, 180):
-        inst = _thinning(grid, count, rng)
+        inst = thinning(grid, count, rng)
         res = solve_instance(inst)
         assert res.status == "solved" and res.grid == grid
         directed, pruned = prune_fixed(blank, inst)
@@ -233,7 +227,7 @@ def test_differential_9x9_against_enumeration():
     solution = parse_grid(SOLUTION_35)
     instances = []
     for idx in range(25):
-        inst = _thinning(_relabelled(solution, rng), rng.randint(28, 40), rng)
+        inst = thinning(_relabelled(solution, rng), rng.randint(28, 40), rng)
         instances.append(_clashing_free_change(inst, rng) if idx % 3 == 0 else inst)
     pipeline._blank_encoding.cache_clear()
     seen = {"solved": 0, "unsat": 0}
