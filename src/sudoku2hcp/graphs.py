@@ -24,14 +24,12 @@ from typing import Iterable, Iterator
 
 
 def _gc_paused(fn):
-    """fn with CPython's cyclic garbage collector paused while it runs.
-
-    The graph-sized calls allocate tens of thousands of tuples, lists and
-    records and make no reference cycles (tests/test_gc_pause.py checks
-    it), so reference counting frees all they drop; the collector would
-    only rescan the rest, by default every 700 container allocations.  It
-    is turned back on when fn returns or raises, unless it was already off
-    on entry: the caller's gc.disable(), or an outer paused call."""
+    """fn with CPython's cyclic garbage collector paused while it runs, for
+    calls that allocate graph-sized numbers of containers and make no
+    reference cycles (tests/test_gc_pause.py), so reference counting frees
+    all they drop.  The pause holds for every thread, so it goes only on
+    calls whose time the graph's size bounds.  If the collector was off on
+    entry (the caller's gc.disable(), or an outer pause), it stays off."""
 
     @wraps(fn)
     def paused(*args, **kwargs):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .construct import build_hcp, prune_fixed, recover_solution
-from .graphs import DirectedGraph, UndirectedGraph, _gc_paused
+from .graphs import DirectedGraph, UndirectedGraph
 from .solve import SolveBudget, SolveOutcome, solve_hcp, verify_cycle
 from .sudoku import Grid, SudokuInstance, validate_grid
 from .transform import CycleLifter, Infeasible, reduce_graph, undirect
@@ -49,7 +49,6 @@ def _blank_encoding(order: int) -> DirectedGraph:
     return build_hcp(order)
 
 
-@_gc_paused
 def solve_instance(
     instance: SudokuInstance, config: PipelineConfig | None = None
 ) -> PipelineResult:

@@ -315,6 +315,19 @@ def _pick_branch_edge(state: SolveState) -> int | None:
 
 
 @_gc_paused
+def _root_state(g: UndirectedGraph) -> SolveState | None:
+    """g's state after propagation, or None if that refutes g.  Only this
+    set-up is paused; the search after it may run for its whole budget."""
+    if _uncoverable(g):
+        return None
+    state = SolveState(g)
+    try:
+        propagate(state)
+    except Contradiction:
+        return None
+    return state
+
+
 def solve_hcp(
     g: UndirectedGraph,
     budget: SolveBudget | None = None,
@@ -342,15 +355,10 @@ def solve_hcp(
         stats.time_ms = elapsed_ms()
         return SolveOutcome(status, cycle, stats)
 
-    if _uncoverable(g):
+    state = _root_state(g)
+    if state is None:
         return outcome("no_cycle")
-
-    state = SolveState(g)
     trail = state.trail
-    try:
-        propagate(state)
-    except Contradiction:
-        return outcome("no_cycle")
     stats.max_trail = len(trail)
 
     def attempt(e: int, include: bool) -> bool:

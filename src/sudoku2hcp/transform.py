@@ -216,7 +216,6 @@ def _uncoverable(g: UndirectedGraph) -> str | None:
     return None
 
 
-@_gc_paused
 def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     """Drop the removable middle vertex of every candidate-triple gadget.
 

@@ -1,9 +1,9 @@
 """The graph-sized library calls pause CPython's cyclic garbage collector
-while they run (graphs._gc_paused).  These tests check that each call
-leaves the collector as its caller had it, on return and on raise, that no
-collection starts inside a paused call, and the premise that makes the
-pause safe: the calls leave no cyclic garbage, so reference counting alone
-frees everything they drop."""
+while they run (graphs._gc_paused); solve_hcp pauses only its set-up, not
+its search.  These tests check that each call leaves the collector as its
+caller had it, on return and on raise, that no collection starts inside a
+paused call, and the premise that makes the pause safe: the calls leave no
+cyclic garbage, so reference counting alone frees everything they drop."""
 
 import gc
 import random
@@ -17,7 +17,6 @@ from sudoku2hcp import (
     SudokuInstance,
     UndirectedGraph,
     build_hcp,
-    compress_triples,
     export_graph,
     import_graph,
     load_journal,
@@ -30,37 +29,41 @@ from sudoku2hcp import (
     solve_instance,
     undirect,
 )
-from sudoku2hcp import pipeline
+from sudoku2hcp import solve
+from sudoku2hcp.graphs import _gc_paused
 from _support import PUZZLE_35, SOLUTION_35, all_order4_solutions, thinning
 
 PUZZLE4 = "1...2..3......2."
 
 
 def _calls():
-    """(name, call on small input, call that raises) for each paused call."""
+    """(name, call on small input, call that raises, what it raises) for
+    each paused call.  Each raises through its own check of its input,
+    except undirect, which has none: any DirectedGraph is valid input, so
+    it is handed a non-graph."""
     blank4 = build_hcp(4)
     inst4 = parse_sudoku(PUZZLE4)
     pruned4, _ = prune_fixed(blank4, inst4)
     tri4, journal4 = undirect(pruned4)
-    small = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
+    triangle = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
+    inst9 = parse_sudoku(PUZZLE_35)
     return [
-        ("build_hcp", lambda: build_hcp(4), lambda: build_hcp(5)),
-        ("prune_fixed", lambda: prune_fixed(blank4, inst4), lambda: prune_fixed(small, inst4)),
-        ("undirect", lambda: undirect(pruned4), lambda: undirect(None)),
-        ("reduce_graph", lambda: reduce_graph(tri4), lambda: reduce_graph(None)),
-        ("compress_triples", lambda: compress_triples(undirect(blank4)[0]),
-         lambda: compress_triples(small)),
+        ("build_hcp", lambda: build_hcp(4), lambda: build_hcp(5), ValueError),
+        ("prune_fixed", lambda: prune_fixed(blank4, inst4),
+         lambda: prune_fixed(blank4, inst9), ValueError),
+        ("undirect", lambda: undirect(pruned4), lambda: undirect(None), AttributeError),
+        ("reduce_graph", lambda: reduce_graph(tri4), lambda: reduce_graph(triangle), ValueError),
         ("import_graph", lambda: import_graph(export_graph(pruned4)),
-         lambda: import_graph("DHCP 3 1\n1 x\n")),
+         lambda: import_graph("DHCP 3 1\n1 x\n"), ValueError),
         ("load_journal", lambda: load_journal(save_journal(journal4)),
-         lambda: load_journal("G 1 2 3\n")),
-        ("solve_hcp", lambda: solve_hcp(tri4), lambda: solve_hcp(UndirectedGraph(2, []))),
-        ("solve_instance", lambda: solve_instance(inst4), lambda: solve_instance(None)),
+         lambda: load_journal("G 1 2 3\n"), ValueError),
+        ("solve_hcp", lambda: solve_hcp(tri4),
+         lambda: solve_hcp(UndirectedGraph(2, [])), ValueError),
     ]
 
 
 CALLS = _calls()
-NAMES = [name for name, _, _ in CALLS]
+NAMES = [name for name, _, _, _ in CALLS]
 
 
 @pytest.fixture
@@ -71,41 +74,68 @@ def collector_restored():
     (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("name, call, raising", CALLS, ids=NAMES)
-def test_collector_back_on_after_return_and_raise(name, call, raising):
+@pytest.mark.parametrize("name, call, raising, error", CALLS, ids=NAMES)
+def test_collector_back_on_after_return_and_raise(name, call, raising, error):
     assert gc.isenabled()
     call()
     assert gc.isenabled()
-    with pytest.raises((ValueError, AttributeError)):
+    with pytest.raises(error):
         raising()
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize("name, call, raising", CALLS, ids=NAMES)
-def test_caller_disabled_collector_stays_disabled(name, call, raising, collector_restored):
+@pytest.mark.parametrize("name, call, raising, error", CALLS, ids=NAMES)
+def test_caller_disabled_collector_stays_disabled(name, call, raising, error, collector_restored):
     gc.disable()
     call()
     assert not gc.isenabled()
-    with pytest.raises((ValueError, AttributeError)):
+    with pytest.raises(error):
         raising()
     assert not gc.isenabled()
 
 
-def test_nested_paused_calls_leave_the_outer_pause(monkeypatch):
-    # undirect returns inside solve_instance's pause, so it must leave the
-    # collector off; solve_instance turns it back on when it returns
+def test_nested_paused_calls_leave_the_outer_pause():
+    # undirect returns inside the outer pause, so it must leave the
+    # collector off; the outer call turns it back on when it returns
+    pruned = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))[0]
     inside = []
-    real_undirect = pipeline.undirect
 
-    def undirect_seen(g):
-        result = real_undirect(g)
+    @_gc_paused
+    def outer():
+        undirect(pruned)
         inside.append(gc.isenabled())
-        return result
 
-    monkeypatch.setattr(pipeline, "undirect", undirect_seen)
-    assert solve_instance(parse_sudoku(PUZZLE_35)).status == "solved"
+    outer()
     assert inside == [False]
     assert gc.isenabled()
+
+
+def test_search_runs_with_the_collector_on(monkeypatch):
+    # solve_hcp pauses its set-up (propagation) only: the search may run
+    # for its whole budget, and a pause holds for every thread
+    seen = {"propagate": set(), "branch": set()}
+    real_propagate, real_pick = solve.propagate, solve._pick_branch_edge
+
+    def propagate_seen(state):
+        seen["propagate"].add(gc.isenabled())
+        return real_propagate(state)
+
+    def pick_seen(state):
+        seen["branch"].add(gc.isenabled())
+        return real_pick(state)
+
+    monkeypatch.setattr(solve, "propagate", propagate_seen)
+    monkeypatch.setattr(solve, "_pick_branch_edge", pick_seen)
+    result = solve_instance(parse_sudoku(PUZZLE4))
+    assert result.status == "solved" and result.outcome.stats.nodes > 0
+    assert seen == {"propagate": {False}, "branch": {True}}
+    assert gc.isenabled()
+
+
+def test_solve_instance_leaves_a_caller_disabled_collector_off(collector_restored):
+    gc.disable()
+    assert solve_instance(parse_sudoku(PUZZLE_35)).status == "solved"
+    assert not gc.isenabled()
 
 
 def _collections_started(call) -> int:
@@ -130,8 +160,8 @@ def test_no_collection_starts_inside_a_paused_call():
     assert _collections_started(lambda: import_graph(text)) == 0
     # unpaused, the same import meets the collector
     assert _collections_started(lambda: import_graph.__wrapped__(text)) > 0
-    inst = parse_sudoku(PUZZLE_35)
-    assert _collections_started(lambda: solve_instance(inst)) == 0
+    graph = undirect(import_graph(text))[0]
+    assert _collections_started(lambda: reduce_graph(graph)) == 0
 
 
 class TestNoCyclicGarbage:
@@ -170,7 +200,6 @@ class TestNoCyclicGarbage:
         gc.collect()
         gc.disable()
         outcomes = [self._chain(inst, SolveBudget()) for inst in puzzles]
-        self._none_left(compress_triples, undirect(build_hcp(4))[0])
         assert {o.status for o in outcomes} == {"cycle"}
         assert sum(o.stats.contradictions for o in outcomes) > 0
 
