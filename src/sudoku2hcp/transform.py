@@ -14,7 +14,9 @@ journal's base graph, the graph its first transform was applied to (after
 a triplication, the 3n-vertex undirected graph).  Ids never shift when a
 record deletes a vertex.  The final graph's vertex k is the k-th smallest
 base id that no record deletes, so lifting maps a cycle through that list
-once and replays the records backwards.
+once and replays the records backwards on one successor array.  Behind a
+triplication it reads the directed cycle off the vertex triples, from
+vertex 1 in arc order.
 """
 
 from __future__ import annotations
@@ -174,34 +176,6 @@ def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
         adj[o] = tuple(far)
     graph = UndirectedGraph._derived(3 * n, 2 * n + g.m, adj)
     return graph, CycleLifter((Triplication(n),))
-
-
-def _project_triplication(cycle: list[int], n: int) -> list[int]:
-    """Collapse a Hamiltonian cycle of the triplication to a directed cycle.
-    The cycle must be a permutation of 1..3n, as lift_cycle's walk makes
-    it; only its length and its triples are checked here."""
-    total = 3 * n
-    if len(cycle) != total:
-        raise ValueError(f"cycle has {len(cycle)} vertices, expected {total}")
-    # orient so every triple reads in-copy, middle, out-copy
-    t0 = next(idx for idx, lab in enumerate(cycle) if lab % 3 == 2)
-    mid = cycle[t0]
-    if cycle[(t0 + 1) % total] == mid + 1:
-        oriented = cycle
-    elif cycle[t0 - 1] == mid + 1:
-        oriented = cycle[::-1]
-    else:
-        raise ValueError("cycle does not keep vertex triples intact")
-    s0 = next(idx for idx, lab in enumerate(oriented) if lab % 3 == 1)
-    oriented = oriented[s0:] + oriented[:s0]
-    out: list[int] = []
-    for t in range(0, total, 3):
-        a, b, c = oriented[t], oriented[t + 1], oriented[t + 2]
-        if a % 3 != 1 or b != a + 1 or c != a + 2:
-            raise ValueError("cycle does not keep vertex triples intact")
-        out.append((a + 2) // 3)
-    low = out.index(min(out))
-    return out[low:] + out[:low]
 
 
 def _uncoverable(g: UndirectedGraph) -> str | None:
@@ -450,10 +424,14 @@ def _contract_stepwise(
 def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
     """Replay a journal backwards over a cycle of the final graph.
 
-    Re-inserts gadget middles between their bridged neighbours, re-expands
-    each contracted path between its recorded ends, and finally projects
-    a leading triplication back to the directed graph.  Raises ValueError
-    when the cycle cannot have come from the journal's final graph.
+    The cycle is held as one successor array over the base ids.  Each
+    gadget middle is re-inserted between its bridged neighbours and each
+    contracted path re-expanded between its recorded ends, in the
+    direction the cycle runs there.  A journal led by a triplication
+    gives the directed cycle read off the triples, from vertex 1 in arc
+    order; any other gives the base cycle from the base id of the cycle's
+    first vertex, in its direction.  Raises ValueError when the cycle
+    cannot have come from the journal's final graph.
     """
     if not cycle:
         raise ValueError("empty cycle")
@@ -483,48 +461,63 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
     alive = [v for v in range(1, base + 1) if not gone[v]]
     base_cycle = [alive[c - 1] for c in cycle]
 
-    # nxt[v] and prv[v] are v's cycle neighbours, 0 while v is off the cycle
+    # nxt[v] is v's successor on the cycle, 0 while v is off it
     nxt = [0] * (base + 1)
-    prv = [0] * (base + 1)
-    for v, w in zip(base_cycle, base_cycle[1:] + base_cycle[:1]):
+    for v, w in pairwise(chain(base_cycle, base_cycle[:1])):
         nxt[v] = w
-        prv[w] = v
 
     for rec in reversed(records):
         if isinstance(rec, GadgetRemoval):
             a, b = rec.left, rec.right
-            if not (0 < a <= base and 0 < b <= base and b in (nxt[a], prv[a])):
+            if not (0 < a <= base and 0 < b <= base and (nxt[a] == b or nxt[b] == a)):
                 raise ValueError(
                     f"cycle not consistent with journal: {a} and {b} not adjacent"
                 )
-            if nxt[a] != b:
-                a, b = b, a
-            seq = (a, rec.removed, b)
+            seq = (a, rec.removed, b) if nxt[a] == b else (b, rec.removed, a)
         else:
             s, (a, b), path = rec.survivor, rec.ends, rec.path
-            around = (prv[s], nxt[s]) if 0 < s <= base else (0, 0)
-            if 0 in around or set(around) != {a, b}:
+            inside = 0 < s <= base and 0 < a <= base and 0 < b <= base
+            if inside and nxt[a] == s and nxt[s] == b:
+                seq = (a, *path, b)
+            elif inside and nxt[b] == s and nxt[s] == a:
+                seq = (b, *reversed(path), a)
+            else:
+                # a survivor off the cycle, or outside the graph, is in no
+                # nxt entry: it has neighbours {0}, as nxt[0] is 0
+                around = {nxt.index(s), nxt[s]} if s in nxt else {0}
                 raise ValueError(
                     "cycle not consistent with journal: contraction "
-                    f"survivor {s} has neighbours {sorted(set(around))}"
+                    f"survivor {s} has neighbours {sorted(around)}"
                 )
-            if around != (a, b):
-                a, b, path = b, a, path[::-1]
-            seq = (a, *path, b)
         # the cycle runs along seq now; the vertices inside it other than a
         # survivor were off the cycle, as they are deleted by no other record
         for x, y in pairwise(seq):
             nxt[x] = y
-            prv[y] = x
 
-    out = [base_cycle[0]]
-    while True:
-        w = nxt[out[-1]]
-        if w == out[0]:
+    if directed_n is None:
+        out = [base_cycle[0]]
+        while (w := nxt[out[-1]]) != out[0]:
+            out.append(w)
+        if len(out) != base:
+            raise ValueError("lifted cycle does not cover the base graph")
+        return out
+    # every triple reads in-copy, middle, out-copy one way round the cycle:
+    # along nxt from in-copy 1 (d = 1), or against it, so that nxt runs
+    # from out-copy 3 (d = -1) and meets the directed cycle backwards
+    d = nxt[2] - 2
+    if d not in (1, -1):
+        raise ValueError("cycle does not keep vertex triples intact")
+    v = start = 2 - d
+    out = []
+    for _ in range(directed_n):
+        u = v + d
+        w = u + d
+        if (v - start) % 3 or nxt[v] != u or nxt[u] != w:
+            raise ValueError("cycle does not keep vertex triples intact")
+        out.append((v + 2) // 3)
+        v = nxt[w]
+        if v == start:
             break
-        out.append(w)
-    if len(out) != base:
+    if v != start or len(out) != directed_n:
         raise ValueError("lifted cycle does not cover the base graph")
-    if directed_n is not None:
-        return _project_triplication(out, directed_n)
-    return out
+    return out if d == 1 else out[:1] + out[:0:-1]

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from sudoku2hcp import (
     recover_solution,
     reduce_graph,
     solve_hcp,
+    solve_instance,
     undirect,
     verify_cycle,
     witness_cycle,
@@ -158,6 +160,36 @@ class TestProject:
         lifter = CycleLifter((Triplication(2),))
         with pytest.raises(ValueError, match="triples"):
             lift_cycle(lifter, [1, 2, 4, 3, 5, 6])
+
+    def test_every_rotation_and_direction_lifts_to_one_cycle(self):
+        # the directed cycle comes back from vertex 1, in arc order, from
+        # wherever the triplication's cycle starts and whichever way it runs
+        rng = random.Random(23)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(2, 7)
+            arcs = random_directed_arcs(rng, n, 0.5)
+            want = brute_directed_hamiltonian(n, arcs)
+            if want is None:
+                continue
+            assert want[0] == 1
+            _, lifter = undirect(DirectedGraph(n, arcs))
+            tc = triplicate_cycle(want)
+            for c in (tc, tc[::-1]):
+                for k in range(len(c)):
+                    assert lift_cycle(lifter, c[k:] + c[:k]) == want
+            checked += 1
+
+    def test_solver_cycle_rotations_lift_to_the_pipelines_cycle(self):
+        rng = random.Random(29)
+        for _ in range(3):
+            inst, _ = well_formed_order4(rng)
+            result = solve_instance(inst)
+            assert result.status == "solved"
+            cyc = result.outcome.cycle
+            for c in (cyc, cyc[::-1]):
+                for k in range(len(c)):
+                    assert result.lifter.lift(c[k:] + c[:k]) == result.directed_cycle
 
 
 class TestCompress:
@@ -790,6 +822,80 @@ class TestLift:
     )
     def test_bad_base_ids_rejected(self, records, cycle, match):
         with pytest.raises(ValueError, match=match):
+            lift_cycle(CycleLifter(records), cycle)
+
+    @pytest.mark.parametrize(
+        "records,cycle,message",
+        [
+            ((), [], "empty cycle"),
+            (
+                (GadgetRemoval(3, 2, 4), Triplication(2)),
+                [1, 2, 3, 4, 5],
+                "triplication record allowed only at the start of a journal",
+            ),
+            (
+                (Triplication(10**9),),
+                [1, 2, 3],
+                "cycle length 3 inconsistent with journal "
+                "(0 deletions from 3000000000 vertices)",
+            ),
+            (
+                (GadgetRemoval(6, 2, 4),),
+                [1, 2, 3, 4],
+                "journal refers to vertices outside the graph",
+            ),
+            (
+                (GadgetRemoval(3, 2, 4), GadgetRemoval(3, 2, 4)),
+                [1, 2, 3],
+                "journal deletes vertex 3 twice",
+            ),
+            ((), [1, 2, 2], "cycle is not a permutation of the final graph's vertices"),
+            (
+                (GadgetRemoval(3, 2, 7),),
+                [1, 2, 3, 4],
+                "cycle not consistent with journal: 2 and 7 not adjacent",
+            ),
+            # the message names the survivor's neighbours on the cycle
+            (
+                (Contraction(2, (2, 3), (1, 4)),),
+                [1, 3, 2, 4],
+                "cycle not consistent with journal: contraction survivor 2 "
+                "has neighbours [4, 5]",
+            ),
+            (
+                (Contraction(7, (7, 3), (1, 4)),),
+                [1, 2, 3, 4],
+                "cycle not consistent with journal: contraction survivor 7 "
+                "has neighbours [0]",
+            ),
+            (
+                (Triplication(2),),
+                [1, 2, 4, 3, 5, 6],
+                "cycle does not keep vertex triples intact",
+            ),
+            # the triples read backwards, one of them broken
+            (
+                (Triplication(2),),
+                [6, 5, 3, 4, 2, 1],
+                "cycle does not keep vertex triples intact",
+            ),
+            # a contraction whose ends are its own survivor, on a one-vertex
+            # cycle, leaves vertices off the cycle it closes: never a lift
+            # with a vertex twice
+            (
+                (Contraction(1, (2, 1), (1, 1)),),
+                [1],
+                "lifted cycle does not cover the base graph",
+            ),
+            (
+                (Triplication(2), Contraction(1, (5, 4, 6, 1, 2, 3), (1, 1))),
+                [1],
+                "lifted cycle does not cover the base graph",
+            ),
+        ],
+    )
+    def test_rejection_messages(self, records, cycle, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lift_cycle(CycleLifter(records), cycle)
 
     def test_triplication_must_lead(self):
