@@ -155,11 +155,7 @@ def _cmd_verify(args) -> int:
     first = given.split(maxsplit=1)[:1]
     if first and first[0] in GRAPH_HEADERS:
         g = import_graph(given)
-        cycle = read_cycle(answer)
-        ok = verify_cycle(g, cycle)
-        if not ok and isinstance(g, DirectedGraph):
-            # cycle files are direction-canonicalised, accept either way
-            ok = verify_cycle(g, cycle[::-1])
+        ok = verify_cycle(g, read_cycle(answer))
         print("valid" if ok else "invalid")
         return OK if ok else UNSAT
     violations = validate_grid(parse_sudoku(given), parse_grid(answer))

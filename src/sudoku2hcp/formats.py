@@ -92,20 +92,25 @@ def export_tsplib_hcp(g: UndirectedGraph, name: str) -> str:
 
 
 def write_cycle(cycle: list[int]) -> str:
-    """Cycle file: 'CYCLE n' then one vertex per line, canonicalised to
-    start at the smallest id with the smaller cycle-neighbour second."""
+    """Cycle file: 'CYCLE n' then one vertex per line, rotated to start at
+    the smallest id in the cycle's own direction (arc order for a directed
+    cycle).  A cycle has at least 3 distinct vertices."""
+    if len(set(cycle)) != len(cycle):
+        raise ValueError("cycle contains repeated vertices")
     if len(cycle) < 3:
         raise ValueError("cycle must have at least 3 vertices")
     low = cycle.index(min(cycle))
     rotated = cycle[low:] + cycle[:low]
-    if rotated[-1] < rotated[1]:
-        rotated = [rotated[0]] + rotated[1:][::-1]
     lines = [f"CYCLE {len(rotated)}"]
     lines.extend(str(v) for v in rotated)
     return "\n".join(lines) + "\n"
 
 
 def read_cycle(text: str) -> list[int]:
+    """Inverse of write_cycle: the vertices in file order, which is the
+    cycle's direction, from whichever comes first.  Raises ValueError for
+    a bad header or line, then in write_cycle's words for repeated
+    vertices or fewer than 3."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     toks = lines[0].split() if lines else []
     if not toks or toks[0] != "CYCLE":
@@ -129,6 +134,8 @@ def read_cycle(text: str) -> list[int]:
             raise ValueError(f"non-integer vertex line {_quote(ln)}") from None
     if len(set(cycle)) != n:
         raise ValueError("cycle contains repeated vertices")
+    if n < 3:
+        raise ValueError("cycle must have at least 3 vertices")
     return cycle
 
 

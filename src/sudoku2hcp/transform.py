@@ -102,7 +102,8 @@ class CycleLifter:
 
 def _deleted_ids(rec: Record) -> tuple[int, ...]:
     """The vertices a record deletes.  Raises ValueError for a path that
-    does not hold its survivor once, among at least 2 vertices."""
+    does not hold its survivor once, among at least 2 vertices, and for a
+    survivor that is one of its own ends."""
     if isinstance(rec, GadgetRemoval):
         return (rec.removed,)
     if isinstance(rec, Contraction):
@@ -112,6 +113,8 @@ def _deleted_ids(rec: Record) -> tuple[int, ...]:
                 f"contraction path {path} must hold survivor {s} once, "
                 "among at least 2 vertices"
             )
+        if s in rec.ends:
+            raise ValueError(f"contraction survivor {s} is one of its own ends {rec.ends}")
         k = path.index(s)
         return path[:k] + path[k + 1 :]
     return ()

@@ -222,6 +222,15 @@ def test_recover_rejects_a_retired_journal(puzzle_file, capsys):
     assert captured.out == ""
 
 
+def test_recover_rejects_a_survivor_that_is_its_own_end(puzzle_file, capsys):
+    cf = puzzle_file("c.cycle", "CYCLE 3\n1\n2\n3\n")
+    jf = puzzle_file("p.journal", "p 2 2 4 2 3\n")
+    assert main(["recover", cf, "--journal", jf]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: contraction survivor 2 is one of its own ends (2, 4)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "name, text, err",
     [
@@ -296,6 +305,15 @@ def test_verify_cycle(puzzle_file, capsys, tmp_path):
     assert main(["verify", uf, ucf]) == 0
     # a cycle of the wrong graph is invalid
     assert main(["verify", uf, cf]) == 1
+
+
+@pytest.mark.parametrize("order, rc, said", [("1 2 3", 0, "valid"), ("1 3 2", 1, "invalid")])
+def test_verify_directed_cycle_in_arc_order_only(puzzle_file, capsys, order, rc, said):
+    # 1 3 2 is a cycle of the reversed graph, not of 1 -> 2 -> 3 -> 1
+    gf = puzzle_file("g.dhcp", "DHCP 3 3\n1 2\n2 3\n3 1\n")
+    cf = puzzle_file("c.cycle", "CYCLE 3\n" + order.replace(" ", "\n") + "\n")
+    assert main(["verify", gf, cf]) == rc
+    assert capsys.readouterr().out == f"{said}\n"
 
 
 @pytest.mark.parametrize(

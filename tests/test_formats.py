@@ -9,6 +9,7 @@ from sudoku2hcp import (
     DirectedGraph,
     SudokuInstance,
     UndirectedGraph,
+    blank_instance,
     build_hcp,
     export_graph,
     export_tsplib_hcp,
@@ -21,9 +22,12 @@ from sudoku2hcp import (
     reduce_graph,
     save_journal,
     undirect,
+    verify_cycle,
+    witness_cycle,
     write_cycle,
 )
 from _support import (
+    all_order4_solutions,
     export_graph_by_lines,
     export_tsplib_hcp_by_lines,
     peak_bytes,
@@ -190,12 +194,43 @@ class TestTsplib:
 class TestCycleFormat:
     def test_canonical_form(self):
         assert write_cycle([3, 1, 2, 4]) == "CYCLE 4\n1\n2\n4\n3\n"
-        # both rotations and directions of the same cycle canonicalise alike
-        assert write_cycle([4, 2, 1, 3]) == write_cycle([3, 1, 2, 4])
+        # the reverse cycle is rotated the same way and keeps its direction
+        assert write_cycle([4, 2, 1, 3]) == "CYCLE 4\n1\n3\n4\n2\n"
 
     def test_round_trip(self):
         text = write_cycle([5, 3, 1, 2, 4])
         assert write_cycle(read_cycle(text)) == text
+
+    def test_witness_cycles_keep_their_arc_order(self):
+        g = build_hcp(4)
+        blank = blank_instance(4)
+        for sol in all_order4_solutions():
+            w = witness_cycle(blank, sol)
+            low = w.index(min(w))
+            want = w[low:] + w[:low]
+            for r in (0, 100, 473):
+                back = read_cycle(write_cycle(w[r:] + w[:r]))
+                assert back == want
+                assert verify_cycle(g, back)
+                assert not verify_cycle(g, back[::-1])
+
+    @pytest.mark.parametrize(
+        "cycle, err",
+        [
+            ([], "cycle must have at least 3 vertices"),
+            ([1], "cycle must have at least 3 vertices"),
+            ([1, 2], "cycle must have at least 3 vertices"),
+            ([1, 1], "cycle contains repeated vertices"),
+            ([1, 2, 1], "cycle contains repeated vertices"),
+            ([1, 2, 2, 3], "cycle contains repeated vertices"),
+        ],
+    )
+    def test_writer_and_reader_refuse_alike(self, cycle, err):
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            write_cycle(cycle)
+        text = f"CYCLE {len(cycle)}\n" + "".join(f"{v}\n" for v in cycle)
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            read_cycle(text)
 
     def test_header_mismatch(self):
         with pytest.raises(ValueError, match="3 vertices"):

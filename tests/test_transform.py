@@ -879,24 +879,39 @@ class TestLift:
                 [6, 5, 3, 4, 2, 1],
                 "cycle does not keep vertex triples intact",
             ),
-            # a contraction whose ends are its own survivor, on a one-vertex
-            # cycle, leaves vertices off the cycle it closes: never a lift
-            # with a vertex twice
+            # a contraction whose survivor is one of its own ends replays
+            # into no Hamiltonian cycle, so its shape alone refuses it
             (
                 (Contraction(1, (2, 1), (1, 1)),),
                 [1],
-                "lifted cycle does not cover the base graph",
+                "contraction survivor 1 is one of its own ends (1, 1)",
             ),
             (
                 (Triplication(2), Contraction(1, (5, 4, 6, 1, 2, 3), (1, 1))),
                 [1],
-                "lifted cycle does not cover the base graph",
+                "contraction survivor 1 is one of its own ends (1, 1)",
+            ),
+            (
+                (Contraction(1, (1, 2), (1, 1)),),
+                [1],
+                "contraction survivor 1 is one of its own ends (1, 1)",
+            ),
+            (
+                (Contraction(2, (2, 1), (2, 2)),),
+                [1],
+                "contraction survivor 2 is one of its own ends (2, 2)",
             ),
         ],
     )
     def test_rejection_messages(self, records, cycle, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lift_cycle(CycleLifter(records), cycle)
+
+    def test_survivor_end_refused_by_concatenation(self):
+        left = CycleLifter((Contraction(3, (3, 4), (3, 1)),))
+        message = "contraction survivor 3 is one of its own ends (3, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            left + CycleLifter((GadgetRemoval(2, 1, 3),))
 
     def test_triplication_must_lead(self):
         recs = (GadgetRemoval(3, 2, 4), Triplication(2))
