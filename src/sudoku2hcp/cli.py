@@ -47,9 +47,9 @@ def _write(path: str, text: str) -> None:
 
 def _budget(args) -> SolveBudget:
     budget = SolveBudget()
-    if getattr(args, "budget_nodes", None) is not None:
+    if args.budget_nodes is not None:
         budget.max_nodes = args.budget_nodes
-    if getattr(args, "budget_ms", None) is not None:
+    if args.budget_ms is not None:
         budget.max_ms = args.budget_ms
     return budget
 
@@ -94,8 +94,9 @@ def _chain_journal(args) -> CycleLifter:
 def _cmd_compress(args) -> int:
     g = _load_undirected(args.graph)
     out, step = compress_triples(g)
+    journal = save_journal(_chain_journal(args) + step)
     _write(args.out, export_graph(out))
-    _write(args.journal_out, save_journal(_chain_journal(args) + step))
+    _write(args.journal_out, journal)
     print(f"wrote {args.out}: {out.n} vertices, {out.m} edges")
     return OK
 
@@ -107,8 +108,9 @@ def _cmd_reduce(args) -> int:
         print(f"infeasible: {result.reason}", file=sys.stderr)
         return UNSAT
     out, step = result
+    journal = save_journal(_chain_journal(args) + step)
     _write(args.out, export_graph(out))
-    _write(args.journal_out, save_journal(_chain_journal(args) + step))
+    _write(args.journal_out, journal)
     print(
         f"wrote {args.out}: {out.n} vertices, {out.m} edges "
         f"(was {g.n} vertices, {g.m} edges)"

@@ -205,7 +205,7 @@ class GraphStats:
     max_in_degree: int | None = None
 
 
-def _histogram(counts: Counter, n: int) -> Counter:
+def _histogram(counts: dict, n: int) -> Counter:
     """How many of the vertices 1..n have each count; absent ones count 0."""
     hist = Counter(counts.values())
     if n > len(counts):
@@ -218,14 +218,16 @@ def graph_stats(g: DirectedGraph | UndirectedGraph) -> GraphStats:
     follows the arcs or edges present, not the vertex count claimed."""
     n = g.n
     directed = isinstance(g, DirectedGraph)
-    tails: Counter = Counter()
-    heads: Counter = Counter()
-    for u, v in g.arcs() if directed else g.edges():
-        tails[u] += 1
-        heads[v] += 1
-    hist = _histogram(tails + heads, n)
-    outs = _histogram(tails, n) if directed else {}
-    ins = _histogram(heads, n) if directed else {}
+    adj = g._adj
+    # each listed vertex's tuple length: its out-degree, or its degree
+    lens = dict(zip(adj, map(len, adj.values())))
+    if directed:
+        heads = Counter(chain.from_iterable(adj.values()))
+        hist = _histogram(Counter(lens) + heads, n)
+        outs, ins = _histogram(lens, n), _histogram(heads, n)
+    else:
+        hist = _histogram(lens, n)
+        outs = ins = {}
     avg = round(2 * g.m / n, 4) if n else 0.0
     return GraphStats(
         directed=directed,

@@ -1,17 +1,18 @@
 """Simple directed and undirected graphs over vertex ids 1..n.
 
-Both containers iterate their arc/edge sets in ascending order, so
-everything built on top of them is reproducible byte for byte.  Adjacency
-is held as ascending tuples under ascending keys, kept only for vertices
-with an arc or edge, so memory follows those and not n.  The public
-constructors sort their input once and check it: ids in range, no
-self-loops, no duplicate arcs or edges.  A graph that a transform derives
-from an already checked graph, where the transform itself keeps it simple
-and sorted (deleting arcs, the triplication, compression,
-reduction), is stored as given through the private `_derived`.  So is the
-blank encoding: build_hcp makes its successor tuples in label order by
-label arithmetic and checks them itself.  Instances are treated as
-immutable; transforms return new graphs.
+Both kinds share one container and one storage, `_adj`: ascending tuples
+under ascending keys, a key only for a vertex with an arc or edge, so
+memory follows those and not n.  A directed graph lists each arc under its
+tail, an undirected graph each edge under both of its ends.  Both iterate
+their arc/edge sets in ascending order, so everything built on top of them
+is reproducible byte for byte.  The public constructors sort their input
+once and check it: ids in range, no self-loops, no duplicate arcs or
+edges.  A graph that a transform derives from an already checked graph,
+where the transform itself keeps it simple and sorted (deleting arcs, the
+triplication, compression, reduction), is stored as given through the
+private `_derived`.  So is the blank encoding: build_hcp makes its
+successor tuples in label order by label arithmetic and checks them
+itself.  Instances are treated as immutable; transforms return new graphs.
 """
 
 from __future__ import annotations
@@ -64,37 +65,59 @@ def _sorted_adjacency(lists: dict, n: int, kind: str) -> dict[int, tuple[int, ..
     return out
 
 
-class DirectedGraph:
-    __slots__ = ("n", "m", "_succ")
+class _Graph:
+    """n vertices, m arcs or edges and their adjacency `_adj`.  A subclass
+    names its pairs (`_kind`) and says whether a pair (u, v) is also listed
+    under its second end v (`_both_ends`)."""
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+    __slots__ = ("n", "m", "_adj")
+    _kind: str
+    _both_ends: bool
+
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        succ: dict[int, list[int]] = defaultdict(list)
+        lists: dict[int, list[int]] = defaultdict(list)
+        both = self._both_ends
         m = 0
-        for u, v in arcs:
-            succ[u].append(v)
+        for u, v in pairs:
+            lists[u].append(v)
+            if both:
+                lists[v].append(u)
             m += 1
         self.m = m
-        self._succ = _sorted_adjacency(succ, n, "arc")
+        self._adj = _sorted_adjacency(lists, n, self._kind)
 
     @classmethod
-    def _derived(cls, n: int, m: int, succ: dict[int, tuple[int, ...]]) -> "DirectedGraph":
-        """Graph stored as given, unchecked: m arcs, ascending successor
-        tuples under ascending keys, a key only for a vertex with an arc."""
+    def _derived(cls, n: int, m: int, adj: dict[int, tuple[int, ...]]):
+        """Graph stored as given, unchecked: m pairs and an adjacency as the
+        module docstring describes it."""
         g = cls.__new__(cls)
-        g.n, g.m, g._succ = n, m, succ
+        g.n, g.m, g._adj = n, m, adj
         return g
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self.n == other.n and self._adj == other._adj
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
+
+
+class DirectedGraph(_Graph):
+    """Arcs; `_adj` holds each vertex's successors."""
+
+    __slots__ = ()
+    _kind, _both_ends = "arc", False
+
     def has_arc(self, u: int, v: int) -> bool:
-        return v in self._succ.get(u, ())
+        return v in self._adj.get(u, ())
 
     def successors(self, u: int) -> list[int]:
-        return list(self._succ.get(u, ()))
+        return list(self._adj.get(u, ()))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
-        for u, outs in self._succ.items():
+        for u, outs in self._adj.items():
             for v in outs:
                 yield (u, v)
 
@@ -107,7 +130,7 @@ class DirectedGraph:
         gone: dict[int, set[int]] = defaultdict(set)
         for u, v in removed:
             gone[u].add(v)
-        succ = dict(self._succ)
+        succ = dict(self._adj)
         for u, drop in gone.items():
             have = succ.get(u, ())
             kept = tuple(filterfalse(drop.__contains__, have))
@@ -120,41 +143,12 @@ class DirectedGraph:
                 del succ[u]
         return DirectedGraph._derived(self.n, self.m - sum(map(len, gone.values())), succ)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirectedGraph)
-            and self.n == other.n
-            and self._succ == other._succ
-        )
 
-    def __repr__(self):
-        return f"DirectedGraph(n={self.n}, m={self.m})"
+class UndirectedGraph(_Graph):
+    """Edges; `_adj` holds each vertex's neighbours."""
 
-
-class UndirectedGraph:
-    __slots__ = ("n", "m", "_adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        self.n = n
-        adj: dict[int, list[int]] = defaultdict(list)
-        m = 0
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-            m += 1
-        self.m = m
-        self._adj = _sorted_adjacency(adj, n, "edge")
-
-    @classmethod
-    def _derived(cls, n: int, m: int, adj: dict[int, tuple[int, ...]]) -> "UndirectedGraph":
-        """Graph stored as given, unchecked: m edges, ascending neighbour
-        tuples under ascending keys, a key only for a vertex with an edge,
-        and b listed under a exactly when a is listed under b."""
-        g = cls.__new__(cls)
-        g.n, g.m, g._adj = n, m, adj
-        return g
+    __slots__ = ()
+    _kind, _both_ends = "edge", True
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
@@ -186,12 +180,14 @@ class UndirectedGraph:
                 if a < b:
                     yield (a, b)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UndirectedGraph)
-            and self.n == other.n
-            and self._adj == other._adj
-        )
 
-    def __repr__(self):
-        return f"UndirectedGraph(n={self.n}, m={self.m})"
+def _uncoverable(g: UndirectedGraph) -> str | None:
+    """Why no Hamiltonian cycle covers g, found from its sizes alone and
+    before anything is allocated per vertex: fewer edges than vertices or
+    a vertex of degree below 2.  None when neither holds."""
+    if g.m < g.n:
+        return f"{g.m} edges cannot cover {g.n} vertices"
+    low = g.low_degree_vertex()
+    if low:
+        return f"vertex {low} has degree {g.degree(low)}"
+    return None

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import contains
 
-from .graphs import DirectedGraph, UndirectedGraph, _gc_paused
-from .transform import _uncoverable
+from .graphs import DirectedGraph, UndirectedGraph, _gc_paused, _uncoverable
 
 
 class Contradiction(Exception):
@@ -66,7 +65,7 @@ def verify_cycle(g: DirectedGraph | UndirectedGraph, cycle: list[int]) -> bool:
     directed = isinstance(g, DirectedGraph)
     if n < (2 if directed else 3) or len(cycle) != n or len(set(cycle)) != n:
         return False
-    adj = g._succ if directed else g._adj
+    adj = g._adj
     # step i runs from cycle[i] to cycle[i + 1], the last back to the first;
     # an id outside 1..n is in no adjacency, so its steps fail
     return all(map(contains, map(adj.get, cycle, repeat(())), cycle[1:] + cycle[:1]))

@@ -28,7 +28,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, pairwise
 from typing import Callable
 
-from .graphs import DirectedGraph, UndirectedGraph, _gc_paused
+from .graphs import DirectedGraph, UndirectedGraph, _gc_paused, _uncoverable
 from .labels import label_cand, label_dup, order_for_vertex_count, vertex_count
 
 
@@ -87,8 +87,14 @@ class CycleLifter:
 
     def __add__(self, other: "CycleLifter") -> "CycleLifter":
         """This journal followed by `other`, whose records name vertices of
-        this journal's final graph; they are rewritten into base ids."""
-        gone = sorted({d for r in self.records for d in _deleted_ids(r)})
+        this journal's final graph; they are rewritten into base ids.
+        Raises ValueError when this journal deletes a vertex twice."""
+        seen: set[int] = set()
+        for d in chain.from_iterable(map(_deleted_ids, self.records)):
+            if d in seen:
+                raise ValueError(f"journal deletes vertex {d} twice")
+            seen.add(d)
+        gone = sorted(seen)
         if not gone:
             return CycleLifter(self.records + other.records)
         base_id = partial(_survivor, gone)
@@ -157,7 +163,7 @@ def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     between different triples, so a simple g gives a simple result.
     """
     n = g.n
-    succ = g._succ
+    succ = g._adj
     # in-copy lists: v's middle, then the out-copies of v's predecessors,
     # appended in ascending tail order so that each list comes out sorted
     ins: list[list[int] | None] = [[] for _ in range(n + 1)]
@@ -179,18 +185,6 @@ def undirect(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
         adj[o] = tuple(far)
     graph = UndirectedGraph._derived(3 * n, 2 * n + g.m, adj)
     return graph, CycleLifter((Triplication(n),))
-
-
-def _uncoverable(g: UndirectedGraph) -> str | None:
-    """Why no Hamiltonian cycle covers g, found from its sizes alone and
-    before anything is allocated per vertex: fewer edges than vertices or
-    a vertex of degree below 2.  None when neither holds."""
-    if g.m < g.n:
-        return f"{g.m} edges cannot cover {g.n} vertices"
-    low = g.low_degree_vertex()
-    if low:
-        return f"vertex {low} has degree {g.degree(low)}"
-    return None
 
 
 def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:

@@ -177,8 +177,7 @@ def random_undirected(rng: random.Random, n: int, p: float) -> UndirectedGraph:
 def storage(g: DirectedGraph | UndirectedGraph) -> tuple:
     """n, m, the adjacency keys in stored order and the adjacency itself:
     equal exactly when two graphs are stored alike, tuple for tuple."""
-    adj = g._succ if isinstance(g, DirectedGraph) else g._adj
-    return g.n, g.m, list(adj), adj
+    return g.n, g.m, list(g._adj), g._adj
 
 
 def triplicate_cycle(cycle: list[int]) -> list[int]:

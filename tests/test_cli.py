@@ -231,6 +231,20 @@ def test_recover_rejects_a_survivor_that_is_its_own_end(puzzle_file, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["reduce", "compress"])
+def test_chained_journal_that_deletes_a_vertex_twice(puzzle_file, capsys, tmp_path, command):
+    # refused when it is chained, not only later by recover; nothing is written
+    graph = puzzle_file("sq.uhcp", "UHCP 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    if command == "compress":
+        graph = puzzle_file("t.uhcp", export_graph(undirect(build_hcp(4))[0]))
+    jf = puzzle_file("bad.journal", "g 5 1 4\ng 5 1 4\n")
+    out, jout = tmp_path / "o.uhcp", tmp_path / "o.journal"
+    argv = [command, graph, "-o", str(out), "--journal", jf, "--journal-out", str(jout)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: journal deletes vertex 5 twice\n"
+    assert not out.exists() and not jout.exists()
+
+
 @pytest.mark.parametrize(
     "name, text, err",
     [

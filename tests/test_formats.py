@@ -404,6 +404,35 @@ class TestStats:
         assert "vertices: 3" in text
         assert "average degree: 2.0000" in text
 
+    def test_degrees_match_a_count_over_the_pairs(self):
+        # graph_stats reads the degrees off the adjacency; counted arc by
+        # arc or edge by edge, with isolated vertices, they come out equal
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            p = rng.choice((0.05, 0.3, 0.8))
+            if rng.random() < 0.5:
+                g = DirectedGraph(n, random_directed_arcs(rng, n, p))
+                pairs = list(g.arcs())
+            else:
+                g = random_undirected(rng, n, p)
+                pairs = list(g.edges())
+            outs = [sum(u == v for u, _ in pairs) for v in range(1, n + 1)]
+            ins = [sum(w == v for _, w in pairs) for v in range(1, n + 1)]
+            degrees = sorted(map(sum, zip(outs, ins)))
+            st_ = graph_stats(g)
+            assert st_.histogram == tuple(
+                (d, degrees.count(d)) for d in sorted(set(degrees))
+            )
+            assert (st_.min_degree, st_.max_degree) == (
+                (degrees[0], degrees[-1]) if n else (0, 0)
+            )
+            if isinstance(g, DirectedGraph) and n:
+                assert (st_.min_out_degree, st_.max_out_degree) == (min(outs), max(outs))
+                assert (st_.min_in_degree, st_.max_in_degree) == (min(ins), max(ins))
+            else:
+                assert st_.min_out_degree is st_.max_in_degree is None
+
     @pytest.mark.parametrize("kind", ["UHCP", "DHCP"])
     def test_memory_follows_the_file_not_the_header(self, kind):
         # a header claiming a million vertices, with one arc or edge

@@ -98,6 +98,38 @@ class TestSortedStorage:
         assert peak_bytes(lambda: cls(10**6, [(1, 2)])) < 1_000_000
 
 
+class TestOneContainer:
+    # both kinds store one adjacency, so only the kind tells them apart
+
+    def test_kinds_with_equal_adjacency_are_not_equal(self):
+        d = DirectedGraph(2, [(1, 2), (2, 1)])
+        u = UndirectedGraph(2, [(1, 2)])
+        assert d._adj == u._adj == {1: (2,), 2: (1,)}
+        assert d != u and u != d
+        assert d == DirectedGraph(2, [(2, 1), (1, 2)])
+        assert u == UndirectedGraph(2, [(2, 1)])
+
+    def test_repr_names_the_kind(self):
+        assert repr(DirectedGraph(3, [(1, 2), (2, 3)])) == "DirectedGraph(n=3, m=2)"
+        assert repr(UndirectedGraph(0, [])) == "UndirectedGraph(n=0, m=0)"
+
+    @pytest.mark.parametrize("cls, word", [(DirectedGraph, "arc"), (UndirectedGraph, "edge")])
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (-1, [], "vertex count must be non-negative"),
+            (3, [(1, 4)], "{} (1, 4) out of range 1..3"),
+            (3, [(0, 2)], "{} (0, 2) out of range 1..3"),
+            (3, [(2, 2)], "self-loop at 2"),
+            (3, [(1, 2), (2, 3), (1, 2)], "duplicate {} (1, 2)"),
+        ],
+    )
+    def test_rejections_keep_the_kind_word(self, cls, word, n, pairs, message):
+        with pytest.raises(ValueError) as err:
+            cls(n, pairs)
+        assert str(err.value) == message.format(word)
+
+
 class TestWithoutArcs:
     # without_arcs keeps the tuples it does not touch and stores the rest
     # unchecked, so it must come out as the checking constructor stores
@@ -117,10 +149,10 @@ class TestWithoutArcs:
             assert storage(h) == storage(DirectedGraph(n, kept))
             assert list(g.arcs()) == arcs
             tails = {u for u, _ in gone}
-            for u, outs in h._succ.items():
+            for u, outs in h._adj.items():
                 if u not in tails:
-                    assert outs is g._succ[u]
-            emptied += any(u not in h._succ for u in tails)
+                    assert outs is g._adj[u]
+            emptied += any(u not in h._adj for u in tails)
         assert emptied >= 50
 
     def test_tail_that_loses_every_arc_is_dropped(self):
@@ -128,7 +160,7 @@ class TestWithoutArcs:
         h = g.without_arcs([(1, 3), (1, 2)])
         want = DirectedGraph(4, [(2, 3), (3, 4), (4, 1)])
         assert storage(h) == storage(want) and h == want
-        assert list(h._succ) == [2, 3, 4]
+        assert list(h._adj) == [2, 3, 4]
 
     def test_missing_arc_names_the_smallest(self):
         g = DirectedGraph(5, [(1, 2), (2, 3), (3, 1), (4, 5)])

@@ -790,6 +790,15 @@ class TestLift:
         ) + right.records
 
     @pytest.mark.parametrize(
+        "right", [CycleLifter(), CycleLifter((Contraction(2, (2, 3), (1, 4)),))]
+    )
+    def test_concatenation_refuses_a_vertex_deleted_twice(self, right):
+        # lift_cycle refuses such a journal with the same words
+        left = CycleLifter((GadgetRemoval(5, 1, 4), GadgetRemoval(5, 1, 4)))
+        with pytest.raises(ValueError, match=r"^journal deletes vertex 5 twice$"):
+            left + right
+
+    @pytest.mark.parametrize(
         "records,cycle,match",
         [
             ((GadgetRemoval(3, 2, 4), GadgetRemoval(3, 2, 4)), [1, 2, 3], "twice"),
