@@ -86,9 +86,7 @@ def _cmd_undirect(args) -> int:
 
 
 def _chain_journal(args) -> CycleLifter:
-    if args.journal:
-        return load_journal(_read(args.journal))
-    return CycleLifter()
+    return load_journal(_read(args.journal)) if args.journal else CycleLifter()
 
 
 def _cmd_compress(args) -> int:
@@ -144,8 +142,7 @@ def _cmd_export_tsplib(args) -> int:
 def _cmd_recover(args) -> int:
     cycle = read_cycle(_read(args.cycle))
     if args.journal:
-        lifter = load_journal(_read(args.journal))
-        cycle = lifter.lift(cycle)
+        cycle = load_journal(_read(args.journal)).lift(cycle)
     grid = recover_solution(cycle, order_for_vertex_count(len(cycle)))
     sys.stdout.write(format_grid(grid))
     return OK

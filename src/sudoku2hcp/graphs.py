@@ -113,9 +113,6 @@ class DirectedGraph(_Graph):
     def has_arc(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, ())
 
-    def successors(self, u: int) -> list[int]:
-        return list(self._adj.get(u, ()))
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u, outs in self._adj.items():
             for v in outs:

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, pairwise
+from itertools import accumulate, chain, compress, filterfalse, pairwise
 from typing import Callable
 
 from .graphs import DirectedGraph, UndirectedGraph, _gc_paused, _uncoverable
@@ -87,23 +87,35 @@ class CycleLifter:
 
     def __add__(self, other: "CycleLifter") -> "CycleLifter":
         """This journal followed by `other`, whose records name vertices of
-        this journal's final graph; they are rewritten into base ids.
-        Raises ValueError when this journal deletes a vertex twice."""
-        seen: set[int] = set()
-        for d in chain.from_iterable(map(_deleted_ids, self.records)):
-            if d in seen:
-                raise ValueError(f"journal deletes vertex {d} twice")
-            seen.add(d)
-        gone = sorted(seen)
+        this journal's final graph; they are rewritten into base ids.  Raises
+        ValueError, in lift_cycle's words, when this journal breaks a rule of
+        `_deletions`.  `other` is left to the lift: checking it would cost a
+        pass over every journal reduce writes, and no CLI path gives a bad one."""
+        gone = sorted(_deletions(self.records))
         if not gone:
             return CycleLifter(self.records + other.records)
         base_id = partial(_survivor, gone)
-        return CycleLifter(
-            self.records + tuple(_map_ids(r, base_id) for r in other.records)
-        )
+        return CycleLifter(self.records + tuple(_map_ids(r, base_id) for r in other.records))
 
     def lift(self, cycle: list[int]) -> list[int]:
         return lift_cycle(self, cycle)
+
+
+def _deletions(records: tuple[Record, ...]) -> set[int]:
+    """The ids a journal deletes, checked in this order against the rules
+    that hold whatever cycle is lifted: a triplication only first, well-formed
+    paths (`_deleted_ids`), no deleted id below 1, none deleted twice."""
+    if any(isinstance(r, Triplication) for r in records[1:]):
+        raise ValueError("triplication record allowed only at the start of a journal")
+    ids = list(chain.from_iterable(map(_deleted_ids, records)))
+    gone = set(ids)
+    if min(gone, default=1) < 1:
+        raise ValueError("journal refers to vertices outside the graph")
+    if len(gone) < len(ids):
+        seen: set[int] = set()
+        d = next(d for d in ids if d in seen or seen.add(d))
+        raise ValueError(f"journal deletes vertex {d} twice")
+    return gone
 
 
 def _deleted_ids(rec: Record) -> tuple[int, ...]:
@@ -427,35 +439,29 @@ def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
     direction the cycle runs there.  A journal led by a triplication
     gives the directed cycle read off the triples, from vertex 1 in arc
     order; any other gives the base cycle from the base id of the cycle's
-    first vertex, in its direction.  Raises ValueError when the cycle
-    cannot have come from the journal's final graph.
+    first vertex, in its direction.  Raises ValueError when the journal
+    breaks a rule of `_deletions`, in the words `+` uses, and when the
+    cycle cannot have come from its final graph.
     """
     if not cycle:
         raise ValueError("empty cycle")
+    gone = _deletions(lifter.records)
     records = lifter.records
     directed_n = None
     if records and isinstance(records[0], Triplication):
         directed_n = records[0].n
         records = records[1:]
-    if any(isinstance(r, Triplication) for r in records):
-        raise ValueError("triplication record allowed only at the start of a journal")
-    deleted = list(chain.from_iterable(map(_deleted_ids, records)))
-    base = len(cycle) + len(deleted)
+    base = len(cycle) + len(gone)
     if directed_n is not None and base != 3 * directed_n:
         raise ValueError(
             f"cycle length {len(cycle)} inconsistent with journal "
-            f"({len(deleted)} deletions from {3 * directed_n} vertices)"
+            f"({len(gone)} deletions from {3 * directed_n} vertices)"
         )
-    gone = bytearray(base + 1)
-    for d in deleted:
-        if not 1 <= d <= base:
-            raise ValueError("journal refers to vertices outside the graph")
-        if gone[d]:
-            raise ValueError(f"journal deletes vertex {d} twice")
-        gone[d] = 1
+    if max(gone, default=0) > base:
+        raise ValueError("journal refers to vertices outside the graph")
     if sorted(cycle) != list(range(1, len(cycle) + 1)):
         raise ValueError("cycle is not a permutation of the final graph's vertices")
-    alive = [v for v in range(1, base + 1) if not gone[v]]
+    alive = list(filterfalse(gone.__contains__, range(1, base + 1)))
     base_cycle = [alive[c - 1] for c in cycle]
 
     # nxt[v] is v's successor on the cycle, 0 while v is off it

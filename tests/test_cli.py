@@ -231,17 +231,35 @@ def test_recover_rejects_a_survivor_that_is_its_own_end(puzzle_file, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["reduce", "compress"])
-def test_chained_journal_that_deletes_a_vertex_twice(puzzle_file, capsys, tmp_path, command):
-    # refused when it is chained, not only later by recover; nothing is written
+@pytest.mark.parametrize(
+    "command, journal, message",
+    [
+        pytest.param(command, journal, message, id=command + tag)
+        for tag, journal, message in [
+            ("", "g 5 1 4\ng 5 1 4\n", "journal deletes vertex 5 twice"),
+            ("-id 0", "g 0 1 4\n", "journal refers to vertices outside the graph"),
+            (
+                "-T after g",
+                "g 5 1 4\nT 2\n",
+                "triplication record allowed only at the start of a journal",
+            ),
+        ]
+        for command in ("reduce", "compress")
+    ],
+)
+def test_chained_journal_that_deletes_a_vertex_twice(
+    puzzle_file, capsys, tmp_path, command, journal, message
+):
+    # refused when it is chained, in recover's words, not only later by
+    # recover; nothing is written
     graph = puzzle_file("sq.uhcp", "UHCP 4 4\n1 2\n2 3\n3 4\n1 4\n")
     if command == "compress":
         graph = puzzle_file("t.uhcp", export_graph(undirect(build_hcp(4))[0]))
-    jf = puzzle_file("bad.journal", "g 5 1 4\ng 5 1 4\n")
+    jf = puzzle_file("bad.journal", journal)
     out, jout = tmp_path / "o.uhcp", tmp_path / "o.journal"
     argv = [command, graph, "-o", str(out), "--journal", jf, "--journal-out", str(jout)]
     assert main(argv) == 3
-    assert capsys.readouterr().err == "error: journal deletes vertex 5 twice\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and not jout.exists()
 
 

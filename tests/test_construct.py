@@ -127,9 +127,9 @@ class TestBuild:
                 for k in range(1, 5):
                     for fam in (Role.cand, Role.dup):
                         v = label_of(fam(i, j, k, 2), 4)
-                        assert len(g.successors(v)) == 2
+                        assert len(g._adj[v]) == 2
                         assert ins[v] == 2
-                        nbrs = set(g.successors(v))
+                        nbrs = set(g._adj[v])
                         assert nbrs == {v - 1, v + 1}
 
     def test_bad_order(self):

@@ -114,10 +114,10 @@ class TestUndirectMatchesEdgeList:
             heads = {v for _, v in g.arcs()}
             shapes["n=1"] += n == 1
             shapes["isolated"] += any(
-                v not in heads and not g.successors(v) for v in range(1, n + 1)
+                v not in heads and v not in g._adj for v in range(1, n + 1)
             )
             shapes["no in-arcs"] += len(heads) < n
-            shapes["no out-arcs"] += any(not g.successors(v) for v in range(1, n + 1))
+            shapes["no out-arcs"] += len(g._adj) < n
             ug, lifter = undirect(g)
             assert storage(ug) == storage(undirect_by_edge_list(g))
             assert lifter == CycleLifter((Triplication(n),))
@@ -915,6 +915,51 @@ class TestLift:
     def test_rejection_messages(self, records, cycle, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lift_cycle(CycleLifter(records), cycle)
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ((GadgetRemoval(0, 1, 4),), "journal refers to vertices outside the graph"),
+            (
+                (Triplication(2), Contraction(2, (-1, 2), (1, 4))),
+                "journal refers to vertices outside the graph",
+            ),
+            (
+                (GadgetRemoval(5, 1, 4), Triplication(2)),
+                "triplication record allowed only at the start of a journal",
+            ),
+            (
+                (GadgetRemoval(3, 2, 4), Contraction(2, (2, 3), (1, 4))),
+                "journal deletes vertex 3 twice",
+            ),
+            (
+                (Contraction(2, (2, 1), (4, 2)),),
+                "contraction survivor 2 is one of its own ends (4, 2)",
+            ),
+            (
+                (Contraction(2, (2,), (1, 3)),),
+                "contraction path (2,) must hold survivor 2 once, among at least 2 vertices",
+            ),
+        ],
+        ids=["id 0", "negative id", "T after g", "gadget and path", "own end", "short path"],
+    )
+    def test_concatenation_and_lift_refuse_alike(self, records, message):
+        # the faults that no cycle can mend, refused by both in one wording
+        left = CycleLifter(records)
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            left + CycleLifter()
+        with pytest.raises(ValueError, match=exact):
+            lift_cycle(left, [1, 2, 3])
+
+    def test_right_journal_left_to_the_lift(self):
+        # + checks only its left journal; the lift refuses the right one's
+        # double deletion, now in base ids (5 -> 6, behind deleted 2)
+        joined = CycleLifter((GadgetRemoval(2, 1, 3),)) + CycleLifter(
+            (GadgetRemoval(5, 1, 4),) * 2
+        )
+        with pytest.raises(ValueError, match=r"^journal deletes vertex 6 twice$"):
+            joined.lift([1, 2, 3, 4])
 
     def test_survivor_end_refused_by_concatenation(self):
         left = CycleLifter((Contraction(3, (3, 4), (3, 1)),))
