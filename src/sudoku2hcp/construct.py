@@ -215,7 +215,7 @@ def clue_redundant_arcs(order: int, i: int, j: int, k: int) -> list[tuple[int, i
     return out
 
 
-def redundant_arcs(instance: SudokuInstance) -> Iterator[tuple[int, int]]:
+def _redundant_arcs(instance: SudokuInstance) -> Iterator[tuple[int, int]]:
     """Every clue's redundant arc family, one clue after another.  Families
     of different clues may overlap, so an arc may come more than once; the
     union holds at most 12N - 12 arcs per clue, with equality for a single
@@ -234,7 +234,7 @@ def prune_fixed(
     """Remove every arc made redundant by the instance's clues.
 
     Returns the pruned graph and the number of arcs removed, the size of
-    the union of redundant_arcs(instance).  Raises ValueError naming the
+    the union of _redundant_arcs(instance).  Raises ValueError naming the
     smallest removed arc the graph lacks.
     """
     n = instance.order
@@ -242,7 +242,7 @@ def prune_fixed(
         raise ValueError(
             f"graph has {graph.n} vertices, expected {vertex_count(n)} for order {n}"
         )
-    pruned = graph.without_arcs(redundant_arcs(instance))
+    pruned = graph.without_arcs(_redundant_arcs(instance))
     return pruned, graph.m - pruned.m
 
 

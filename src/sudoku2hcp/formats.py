@@ -94,11 +94,8 @@ def export_tsplib_hcp(g: UndirectedGraph, name: str) -> str:
 def write_cycle(cycle: list[int]) -> str:
     """Cycle file: 'CYCLE n' then one vertex per line, rotated to start at
     the smallest id in the cycle's own direction (arc order for a directed
-    cycle).  A cycle has at least 3 distinct vertices."""
-    if len(set(cycle)) != len(cycle):
-        raise ValueError("cycle contains repeated vertices")
-    if len(cycle) < 3:
-        raise ValueError("cycle must have at least 3 vertices")
+    cycle).  Raises ValueError for a list `_check_cycle` refuses."""
+    _check_cycle(cycle)
     low = cycle.index(min(cycle))
     rotated = cycle[low:] + cycle[:low]
     lines = [f"CYCLE {len(rotated)}"]
@@ -109,8 +106,7 @@ def write_cycle(cycle: list[int]) -> str:
 def read_cycle(text: str) -> list[int]:
     """Inverse of write_cycle: the vertices in file order, which is the
     cycle's direction, from whichever comes first.  Raises ValueError for
-    a bad header or line, then in write_cycle's words for repeated
-    vertices or fewer than 3."""
+    a bad header or line, then for a list `_check_cycle` refuses."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     toks = lines[0].split() if lines else []
     if not toks or toks[0] != "CYCLE":
@@ -132,11 +128,17 @@ def read_cycle(text: str) -> list[int]:
             cycle.append(int(ln))
         except ValueError:
             raise ValueError(f"non-integer vertex line {_quote(ln)}") from None
-    if len(set(cycle)) != n:
-        raise ValueError("cycle contains repeated vertices")
-    if n < 3:
-        raise ValueError("cycle must have at least 3 vertices")
+    _check_cycle(cycle)
     return cycle
+
+
+def _check_cycle(cycle: list[int]) -> None:
+    """The rule both cycle-file functions keep, in these words: a cycle
+    has at least 3 vertices, none repeated (checked first)."""
+    if len(set(cycle)) != len(cycle):
+        raise ValueError("cycle contains repeated vertices")
+    if len(cycle) < 3:
+        raise ValueError("cycle must have at least 3 vertices")
 
 
 def save_journal(lifter: CycleLifter) -> str:

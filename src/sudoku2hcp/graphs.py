@@ -13,6 +13,9 @@ triplication, compression, reduction), is stored as given through the
 private `_derived`.  So is the blank encoding: build_hcp makes its
 successor tuples in label order by label arithmetic and checks them
 itself.  Instances are treated as immutable; transforms return new graphs.
+Beyond that storage a graph has only the methods that other modules call:
+`arcs` and `without_arcs` for a directed graph, `edges` for an undirected
+one.  The package reads a vertex's neighbours and degree off `_adj`.
 """
 
 from __future__ import annotations
@@ -110,9 +113,6 @@ class DirectedGraph(_Graph):
     __slots__ = ()
     _kind, _both_ends = "arc", False
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u, outs in self._adj.items():
             for v in outs:
@@ -132,7 +132,8 @@ class DirectedGraph(_Graph):
             have = succ.get(u, ())
             kept = tuple(filterfalse(drop.__contains__, have))
             if len(have) - len(kept) != len(drop):
-                arc = min((t, v) for t, vs in gone.items() for v in vs if not self.has_arc(t, v))
+                adj = self._adj
+                arc = min((t, v) for t, vs in gone.items() for v in vs if v not in adj.get(t, ()))
                 raise ValueError(f"arc {arc} not in graph")
             if kept:
                 succ[u] = kept
@@ -147,30 +148,6 @@ class UndirectedGraph(_Graph):
     __slots__ = ()
     _kind, _both_ends = "edge", True
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adj.get(a, ())
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(self._adj.get(v, ()))
-
-    def degree(self, v: int) -> int:
-        return len(self._adj.get(v, ()))
-
-    def low_degree_vertex(self) -> int | None:
-        """The smallest vertex with fewer than two neighbours, or None.
-        Reads the adjacency kept, so it allocates nothing per vertex; the
-        common answer None is found without a Python-level walk."""
-        adj = self._adj
-        if len(adj) == self.n and min(map(len, adj.values()), default=2) >= 2:
-            return None
-        k = 0
-        for k, (v, nbrs) in enumerate(adj.items(), 1):
-            if v != k:
-                return k  # keys ascend, so k has no neighbours
-            if len(nbrs) < 2:
-                return v
-        return k + 1 if k < self.n else None
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for a, nbrs in self._adj.items():
             for b in nbrs:
@@ -181,10 +158,17 @@ class UndirectedGraph(_Graph):
 def _uncoverable(g: UndirectedGraph) -> str | None:
     """Why no Hamiltonian cycle covers g, found from its sizes alone and
     before anything is allocated per vertex: fewer edges than vertices or
-    a vertex of degree below 2.  None when neither holds."""
+    a vertex of degree below 2, the smallest such.  None when neither
+    holds, which is found without a Python-level walk."""
     if g.m < g.n:
         return f"{g.m} edges cannot cover {g.n} vertices"
-    low = g.low_degree_vertex()
-    if low:
-        return f"vertex {low} has degree {g.degree(low)}"
-    return None
+    adj = g._adj
+    if len(adj) == g.n and min(map(len, adj.values()), default=2) >= 2:
+        return None
+    k = 0
+    for k, (v, nbrs) in enumerate(adj.items(), 1):
+        if v != k:
+            return f"vertex {k} has degree 0"  # keys ascend, so k has none
+        if len(nbrs) < 2:
+            return f"vertex {v} has degree {len(nbrs)}"
+    return f"vertex {k + 1} has degree 0" if k < g.n else None

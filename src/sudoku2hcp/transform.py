@@ -87,14 +87,15 @@ class CycleLifter:
 
     def __add__(self, other: "CycleLifter") -> "CycleLifter":
         """This journal followed by `other`, whose records name vertices of
-        this journal's final graph; they are rewritten into base ids.  Raises
+        this journal's final graph; ids from 1 up are rewritten into base
+        ids, and an id below 1 is kept for the lift to refuse.  Raises
         ValueError, in lift_cycle's words, when this journal breaks a rule of
         `_deletions`.  `other` is left to the lift: checking it would cost a
         pass over every journal reduce writes, and no CLI path gives a bad one."""
         gone = sorted(_deletions(self.records))
         if not gone:
             return CycleLifter(self.records + other.records)
-        base_id = partial(_survivor, gone)
+        base_id = partial(_survivor, [d - j for j, d in enumerate(gone)])
         return CycleLifter(self.records + tuple(_map_ids(r, base_id) for r in other.records))
 
     def lift(self, cycle: list[int]) -> list[int]:
@@ -149,18 +150,12 @@ def _map_ids(rec: Record, f: Callable[[int], int]) -> Record:
     return rec
 
 
-def _survivor(gone: list[int], k: int) -> int:
-    """The k-th smallest positive id not in `gone`, an ascending list of
-    distinct ids: k plus the count of gone ids below it, which is the
-    first index j with gone[j] - j > k."""
-    if k < 1:
-        raise ValueError("journal refers to vertices outside the graph")
-    return k + bisect_right(range(len(gone)), k, key=lambda j: gone[j] - j)
-
-
-def mid_copy(v: int) -> int:
-    """Triplication id of directed vertex v's middle copy."""
-    return 3 * v - 1
+def _survivor(shifted: list[int], k: int) -> int:
+    """The k-th smallest positive id a journal does not delete, where
+    shifted[j] is its j-th smallest deleted id minus j: k plus the count of
+    deleted ids below the answer, which is the count of j with
+    shifted[j] <= k.  An id below 1 comes back as it is."""
+    return k + bisect_right(shifted, k)
 
 
 @_gc_paused
@@ -220,19 +215,18 @@ def compress_triples(g: UndirectedGraph) -> tuple[UndirectedGraph, CycleLifter]:
     # the slot-2 vertices are every third label of the cand family and of
     # the dup family above it, so their middles lie 9 apart: descending,
     # the dup family's first
-    dup, cand = mid_copy(label_dup(1, 1, 1, 2, n)), mid_copy(label_cand(1, 1, 1, 2, n))
+    dup, cand = 3 * label_dup(1, 1, 1, 2, n) - 1, 3 * label_cand(1, 1, 1, 2, n) - 1
     span = 9 * n**3
     mids = [*reversed(range(dup, dup + span, 9)), *reversed(range(cand, cand + span, 9))]
-    for mv in mids:
-        if g.neighbors(mv) != [mv - 1, mv + 1]:
-            raise ValueError(f"vertex {mv} is not a removable gadget middle")
-        if g.has_edge(mv - 1, mv + 1):
-            raise ValueError(f"bridge ({mv - 1}, {mv + 1}) already present")
     # g's own sorted tuples (keys 1..n, as no degree is < 2); a middle's
     # neighbours swap it for each other, and no id lies between the two
     adj: list[tuple[int, ...]] = [(), *g._adj.values()]
     for mv in mids:
         a, b = mv - 1, mv + 1
+        if adj[mv] != (a, b):
+            raise ValueError(f"vertex {mv} is not a removable gadget middle")
+        if b in adj[a]:
+            raise ValueError(f"bridge ({a}, {b}) already present")
         adj[mv] = ()
         adj[a] = _swapped(adj[a], mv, b)
         adj[b] = _swapped(adj[b], mv, a)

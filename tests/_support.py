@@ -356,7 +356,7 @@ def reduce_graph_by_passes(
         raise ValueError("reduction expects at least 4 vertices")
     if g.m < g.n:
         return Infeasible(f"{g.m} edges cannot cover {g.n} vertices")
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
+    adj: dict[int, set[int]] = {v: set(g._adj.get(v, ())) for v in range(1, g.n + 1)}
     for v, nbrs in adj.items():
         if len(nbrs) < 2:
             return Infeasible(f"vertex {v} has degree {len(nbrs)}")
@@ -505,7 +505,7 @@ class ScanSolveState:
         self.forced_deg = [0] * (n + 1)
         self.avail_deg = [0] * (n + 1)
         for v in range(1, n + 1):
-            self.avail_deg[v] = g.degree(v)
+            self.avail_deg[v] = len(g._adj.get(v, ()))
         # forced edges form vertex-disjoint paths; endpoints map to the
         # opposite endpoint and carry the path's edge count
         self.path_other = list(range(n + 1))

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -504,3 +506,61 @@ def test_readme_table_names_the_public_surface():
     assert set(named) == set(sudoku2hcp.__all__)
     for name in _NOT_PUBLIC:
         assert not hasattr(sudoku2hcp, name), name
+
+
+# a solver function that the differential solver tests drive, as they drive
+# SolveState's methods; like SolveState it is not in __all__
+_DRIVEN_BY_TESTS = ("solve.propagate",)
+
+
+def _names_used(source: str) -> tuple[set[str], set[str]]:
+    """The bare names and the attributes that code reads: f-string
+    expressions count, docstrings, comments and imports do not."""
+    names, attrs = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def test_every_public_name_has_a_caller_outside_its_module():
+    # the rule for __all__, applied to the public names it does not list:
+    # each public method or property of a class in __all__, and each public
+    # function of a submodule, is read by another module of src/, the bench,
+    # a demo or a python block of README, is named as code in README (the
+    # module table names every function in __all__), or is a console script
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    outside = [p.read_text(encoding="utf-8") for d in ("bench", "demos")
+               for p in sorted((root / d).glob("*.py"))]
+    outside += re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    names, attrs = _names_used("\n".join(outside))
+    named = set(re.findall(r"`(\w+)`", readme))
+    named |= set(re.findall(r'"sudoku2hcp\.\w+:(\w+)"', (root / "pyproject.toml").read_text()))
+    outside_reads = (names | named, attrs | named)
+    reads = {p.stem: _names_used(p.read_text(encoding="utf-8"))
+             for p in (root / "src" / "sudoku2hcp").glob("*.py") if p.stem != "__init__"}
+
+    def reached(module: str, name: str, attribute: bool) -> bool:
+        others = [used for m, used in reads.items() if m != module] + [outside_reads]
+        return any(name in (a if attribute else n | a) for n, a in others)
+
+    unreached = []
+    for module in reads:
+        mod = importlib.import_module(f"sudoku2hcp.{module}")
+        for name, obj in vars(mod).items():
+            if (inspect.isfunction(obj) and obj.__module__ == mod.__name__
+                    and not name.startswith("_") and f"{module}.{name}" not in _DRIVEN_BY_TESTS
+                    and not reached(module, name, False)):
+                unreached.append(f"{module}.{name}")
+    for cls in map(vars(sudoku2hcp).get, sudoku2hcp.__all__):
+        if not inspect.isclass(cls):
+            continue
+        module = cls.__module__.rsplit(".", 1)[1]
+        for name, obj in vars(cls).items():
+            method = inspect.isfunction(obj) or isinstance(obj, (property, classmethod, staticmethod))
+            if method and not name.startswith("_") and not reached(module, name, True):
+                unreached.append(f"{cls.__name__}.{name}")
+    assert not unreached, f"public but read only inside their own module: {unreached}"

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -11,6 +13,7 @@ from sudoku2hcp import (
     prune_fixed,
     undirect,
 )
+from sudoku2hcp.graphs import _uncoverable
 from _support import (
     PUZZLE_35,
     peak_bytes,
@@ -37,10 +40,10 @@ class TestSortedStorage:
         g = UndirectedGraph(n + 5, given)
         assert list(g.edges()) == sorted(edges)
         for v in range(1, n + 6):
-            nbrs = g.neighbors(v)
-            assert isinstance(nbrs, list)
-            assert nbrs == sorted({b for a, b in edges if a == v}
-                                  | {a for a, b in edges if b == v})
+            nbrs = g._adj.get(v, ())
+            assert isinstance(nbrs, tuple)
+            assert list(nbrs) == sorted({b for a, b in edges if a == v}
+                                        | {a for a, b in edges if b == v})
 
     def test_directed_comes_out_ascending(self):
         g0 = build_hcp(4)
@@ -78,20 +81,28 @@ class TestSortedStorage:
         ],
     )
     def test_low_degree_vertex(self, n, edges, want):
+        # want is the smallest vertex of degree below 2; the edge count is
+        # named first when it is below n, so the degree scan is also run
+        # alone, on a _derived copy that claims n edges
         g = UndirectedGraph(n, edges)
-        assert g.low_degree_vertex() == want
-        low = [v for v in range(1, n + 1) if g.degree(v) < 2]
+        degree = Counter(chain.from_iterable(edges))
+        low = [v for v in range(1, n + 1) if degree[v] < 2]
         assert want == (low[0] if low else None)
+        scan = f"vertex {want} has degree {degree[want]}" if want else None
+        assert _uncoverable(g) == (f"{g.m} edges cannot cover {n} vertices" if g.m < n else scan)
         derived = UndirectedGraph._derived(n, g.m, dict(g._adj))
-        assert derived.low_degree_vertex() == want
+        assert _uncoverable(derived) == _uncoverable(g)
+        assert _uncoverable(UndirectedGraph._derived(n, max(g.m, n), dict(g._adj))) == scan
 
     def test_low_degree_vertex_of_a_triplication(self):
         # undirect stores its graph through _derived; every in- and
         # out-copy of a directed cycle has degree 2
         ug, _ = undirect(DirectedGraph(3, [(1, 2), (2, 3), (3, 1)]))
-        assert ug.low_degree_vertex() is None
+        assert _uncoverable(ug) is None
         ug, _ = undirect(DirectedGraph(3, [(1, 2), (2, 3)]))
-        assert ug.low_degree_vertex() == 1  # vertex 1 has no in-arc
+        assert _uncoverable(ug) == "8 edges cannot cover 9 vertices"
+        scan = UndirectedGraph._derived(ug.n, ug.n, ug._adj)
+        assert _uncoverable(scan) == "vertex 1 has degree 1"  # vertex 1 has no in-arc
 
     @pytest.mark.parametrize("cls", [UndirectedGraph, DirectedGraph])
     def test_memory_follows_the_edges_not_n(self, cls):

@@ -27,7 +27,7 @@ from sudoku2hcp import (
 )
 from sudoku2hcp.formats import save_journal
 from sudoku2hcp.labels import label_cand, label_dup, vertex_count
-from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication, mid_copy
+from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication
 from _support import (
     PUZZLE_35,
     EdgeDeletion,
@@ -260,7 +260,7 @@ def gadget_middles(order: int) -> list[int]:
     """The 2N^3 removable middles, in the descending order compress visits."""
     r = range(1, order + 1)
     slot2 = [f(i, j, k, 2, order) for i in r for j in r for k in r for f in (label_cand, label_dup)]
-    return sorted(map(mid_copy, slot2), reverse=True)
+    return sorted((3 * v - 1 for v in slot2), reverse=True)
 
 
 def compress_by_edge_list(g: UndirectedGraph, order: int):
@@ -416,8 +416,8 @@ class TestReduce:
         reduced, _ = out
         assert reduced.n < ug.n
         for v in range(1, reduced.n + 1):
-            if reduced.degree(v) == 2:
-                assert all(reduced.degree(u) != 2 for u in reduced.neighbors(v))
+            if len(reduced._adj[v]) == 2:
+                assert all(len(reduced._adj[u]) != 2 for u in reduced._adj[v])
 
     def test_deterministic(self):
         rng = random.Random(11)
@@ -425,7 +425,7 @@ class TestReduce:
 
         for _ in range(10):
             g = random_undirected(rng, 12, 0.35)
-            if any(g.degree(v) < 2 for v in range(1, 13)):
+            if any(len(g._adj.get(v, ())) < 2 for v in range(1, 13)):
                 continue
             a = reduce_graph(g)
             b = reduce_graph(g)
@@ -960,6 +960,63 @@ class TestLift:
         )
         with pytest.raises(ValueError, match=r"^journal deletes vertex 6 twice$"):
             joined.lift([1, 2, 3, 4])
+
+    def test_concatenation_maps_to_the_kth_survivor(self):
+        # every right-journal id k >= 1 becomes the k-th positive id the
+        # left journal does not delete, counted by brute force; an id below
+        # 1 stays as it is
+        rng = random.Random(30)
+
+        def some_id():
+            return rng.randint(-2, 60)
+
+        for _ in range(400):
+            gone = rng.sample(range(1, 80), rng.randrange(25))
+            kept = [v for v in range(1, 80) if v not in gone]
+            left = []
+            while gone:
+                k = rng.randint(1, 4)
+                take, gone = gone[:k], gone[k:]
+                if len(take) == 1 and rng.random() < 0.5:
+                    left.append(GadgetRemoval(take[0], rng.choice(kept), rng.choice(kept)))
+                else:
+                    s = rng.choice(kept)
+                    take.insert(rng.randrange(len(take) + 1), s)
+                    left.append(Contraction(s, tuple(take), (s + 100, s + 200)))
+            survivors = kept + list(range(80, 200))
+
+            def base(k):
+                return survivors[k - 1] if k >= 1 else k
+
+            right, want = [], []
+            for _ in range(rng.randrange(6)):
+                if rng.random() < 0.5:
+                    ids = [some_id() for _ in range(3)]
+                    right.append(GadgetRemoval(*ids))
+                    want.append(GadgetRemoval(*map(base, ids)))
+                else:
+                    s, a, b, *path = (some_id() for _ in range(rng.randint(4, 7)))
+                    right.append(Contraction(s, tuple(path), (a, b)))
+                    want.append(Contraction(base(s), tuple(map(base, path)), (base(a), base(b))))
+            joined = CycleLifter(tuple(left)) + CycleLifter(tuple(right))
+            assert joined.records == (*left, *want)
+
+    @pytest.mark.parametrize(
+        "left, joined",
+        [
+            ((), (GadgetRemoval(0, 1, 4),)),
+            ((GadgetRemoval(2, 1, 3),), (GadgetRemoval(2, 1, 3), GadgetRemoval(0, 1, 5))),
+        ],
+        ids=["left deletes nothing", "left deletes 2"],
+    )
+    def test_right_id_below_1_joins_unmapped(self, left, joined):
+        # whether or not the left journal deletes a vertex, + leaves id 0
+        # of the right journal as it is, and the lift refuses it
+        got = CycleLifter(left) + CycleLifter((GadgetRemoval(0, 1, 4),))
+        assert got.records == joined
+        message = "journal refers to vertices outside the graph"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lift_cycle(got, [1, 2, 3])
 
     def test_survivor_end_refused_by_concatenation(self):
         left = CycleLifter((Contraction(3, (3, 4), (3, 1)),))
