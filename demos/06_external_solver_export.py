@@ -13,7 +13,6 @@ from pathlib import Path
 from sudoku2hcp import (
     build_hcp,
     export_tsplib_hcp,
-    lift_cycle,
     load_journal,
     parse_sudoku,
     prune_fixed,
@@ -50,7 +49,7 @@ print(f"wrote {cycle_path}")
 
 # a separate invocation can now lift and decode using only the files
 journal = load_journal(journal_path.read_text())
-directed_cycle = lift_cycle(journal, outcome.cycle)
+directed_cycle = journal.lift(outcome.cycle)
 grid = recover_solution(directed_cycle, 9)
 print()
 print("decoded first row:", " ".join(str(grid.value(1, j)) for j in range(1, 10)))

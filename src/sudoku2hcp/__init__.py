@@ -58,7 +58,6 @@ from .transform import (
     Infeasible,
     Triplication,
     compress_triples,
-    lift_cycle,
     reduce_graph,
     undirect,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "format_stats_line",
     "graph_stats",
     "import_graph",
-    "lift_cycle",
     "load_journal",
     "order_for_vertex_count",
     "parse_grid",

@@ -29,6 +29,7 @@ from .pipeline import PipelineConfig, solve_instance
 from .solve import SolveBudget, format_stats_line, solve_hcp, verify_cycle
 from .sudoku import format_grid, parse_grid, parse_sudoku, validate_grid
 from .transform import CycleLifter, Infeasible, compress_triples, reduce_graph, undirect
+from .transform import _deletions
 
 OK, UNSAT, BUDGET, INPUT_ERROR = 0, 1, 2, 3
 
@@ -86,13 +87,18 @@ def _cmd_undirect(args) -> int:
 
 
 def _chain_journal(args) -> CycleLifter:
-    return load_journal(_read(args.journal)) if args.journal else CycleLifter()
+    """The --journal to extend, or none, checked as `+` checks it: read
+    before the graph is transformed, whatever the transform answers."""
+    chain = load_journal(_read(args.journal)) if args.journal else CycleLifter()
+    _deletions(chain.records)
+    return chain
 
 
 def _cmd_compress(args) -> int:
     g = _load_undirected(args.graph)
+    chain = _chain_journal(args)
     out, step = compress_triples(g)
-    journal = save_journal(_chain_journal(args) + step)
+    journal = save_journal(chain + step)
     _write(args.out, export_graph(out))
     _write(args.journal_out, journal)
     print(f"wrote {args.out}: {out.n} vertices, {out.m} edges")
@@ -101,12 +107,13 @@ def _cmd_compress(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_undirected(args.graph)
+    chain = _chain_journal(args)
     result = reduce_graph(g)
     if isinstance(result, Infeasible):
         print(f"infeasible: {result.reason}", file=sys.stderr)
         return UNSAT
     out, step = result
-    journal = save_journal(_chain_journal(args) + step)
+    journal = save_journal(chain + step)
     _write(args.out, export_graph(out))
     _write(args.journal_out, journal)
     print(

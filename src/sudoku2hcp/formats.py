@@ -147,9 +147,7 @@ def save_journal(lifter: CycleLifter) -> str:
     contracted path v1..vk (survivor included, k >= 2) that runs from the
     vertex next to end0 to the vertex next to end1.  reduce_graph orients
     it as Contraction states: in end0 v1 ... vk end1 the id just before
-    the survivor is smaller than the id just after it, except for a pair
-    contracted on the way to a terminal triangle, which reads survivor
-    first."""
+    the survivor is smaller than the id just after it."""
     lines = []
     for rec in lifter.records:
         if isinstance(rec, Triplication):

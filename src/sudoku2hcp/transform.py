@@ -57,11 +57,9 @@ class Contraction:
     vertex next to ends[0] to the vertex next to ends[1]; `ends` are the
     outer neighbours the path attaches to.  Every vertex of `path` but the
     survivor is deleted, and the survivor is left adjacent to both ends.
-    reduce_graph writes a path it collapses in one sweep from the side of
-    the survivor's smaller neighbour: the vertex before the survivor, or
-    ends[0], has a smaller id than the one after it, or ends[1].  A pair it
-    contracts step by step, on the way to a terminal triangle, reads
-    survivor first: path (survivor, absorbed), ends (their other neighbours).
+    reduce_graph writes every path from the side of the survivor's smaller
+    neighbour: the vertex before the survivor, or ends[0], has a smaller id
+    than the one after it, or ends[1].
     """
 
     survivor: int
@@ -89,7 +87,7 @@ class CycleLifter:
         """This journal followed by `other`, whose records name vertices of
         this journal's final graph; ids from 1 up are rewritten into base
         ids, and an id below 1 is kept for the lift to refuse.  Raises
-        ValueError, in lift_cycle's words, when this journal breaks a rule of
+        ValueError, in `lift`'s words, when this journal breaks a rule of
         `_deletions`.  `other` is left to the lift: checking it would cost a
         pass over every journal reduce writes, and no CLI path gives a bad one."""
         gone = sorted(_deletions(self.records))
@@ -99,7 +97,99 @@ class CycleLifter:
         return CycleLifter(self.records + tuple(_map_ids(r, base_id) for r in other.records))
 
     def lift(self, cycle: list[int]) -> list[int]:
-        return lift_cycle(self, cycle)
+        """Replay the journal backwards over a cycle of its final graph.
+
+        The cycle is held as one successor array over the base ids.  Each
+        gadget middle is re-inserted between its bridged neighbours and
+        each contracted path re-expanded between its recorded ends, in the
+        direction the cycle runs there.  A journal led by a triplication
+        gives the directed cycle read off the triples, from vertex 1 in arc
+        order; any other gives the base cycle from the base id of the
+        cycle's first vertex, in its direction.  Raises ValueError when the
+        journal breaks a rule of `_deletions`, in the words `+` uses, and
+        when the cycle cannot have come from its final graph.
+        """
+        if not cycle:
+            raise ValueError("empty cycle")
+        gone = _deletions(self.records)
+        records = self.records
+        directed_n = None
+        if records and isinstance(records[0], Triplication):
+            directed_n = records[0].n
+            records = records[1:]
+        base = len(cycle) + len(gone)
+        if directed_n is not None and base != 3 * directed_n:
+            raise ValueError(
+                f"cycle length {len(cycle)} inconsistent with journal "
+                f"({len(gone)} deletions from {3 * directed_n} vertices)"
+            )
+        if max(gone, default=0) > base:
+            raise ValueError("journal refers to vertices outside the graph")
+        if sorted(cycle) != list(range(1, len(cycle) + 1)):
+            raise ValueError("cycle is not a permutation of the final graph's vertices")
+        alive = list(filterfalse(gone.__contains__, range(1, base + 1)))
+        base_cycle = [alive[c - 1] for c in cycle]
+
+        # nxt[v] is v's successor on the cycle, 0 while v is off it
+        nxt = [0] * (base + 1)
+        for v, w in pairwise(chain(base_cycle, base_cycle[:1])):
+            nxt[v] = w
+
+        for rec in reversed(records):
+            if isinstance(rec, GadgetRemoval):
+                a, b = rec.left, rec.right
+                if not (0 < a <= base and 0 < b <= base and (nxt[a] == b or nxt[b] == a)):
+                    raise ValueError(
+                        f"cycle not consistent with journal: {a} and {b} not adjacent"
+                    )
+                seq = (a, rec.removed, b) if nxt[a] == b else (b, rec.removed, a)
+            else:
+                s, (a, b), path = rec.survivor, rec.ends, rec.path
+                inside = 0 < s <= base and 0 < a <= base and 0 < b <= base
+                if inside and nxt[a] == s and nxt[s] == b:
+                    seq = (a, *path, b)
+                elif inside and nxt[b] == s and nxt[s] == a:
+                    seq = (b, *reversed(path), a)
+                else:
+                    # a survivor off the cycle, or outside the graph, is in no
+                    # nxt entry: it has neighbours {0}, as nxt[0] is 0
+                    around = {nxt.index(s), nxt[s]} if s in nxt else {0}
+                    raise ValueError(
+                        "cycle not consistent with journal: contraction "
+                        f"survivor {s} has neighbours {sorted(around)}"
+                    )
+            # the cycle runs along seq now; the vertices inside it other than a
+            # survivor were off the cycle, as they are deleted by no other record
+            for x, y in pairwise(seq):
+                nxt[x] = y
+
+        if directed_n is None:
+            out = [base_cycle[0]]
+            while (w := nxt[out[-1]]) != out[0]:
+                out.append(w)
+            if len(out) != base:
+                raise ValueError("lifted cycle does not cover the base graph")
+            return out
+        # every triple reads in-copy, middle, out-copy one way round the cycle:
+        # along nxt from in-copy 1 (d = 1), or against it, so that nxt runs
+        # from out-copy 3 (d = -1) and meets the directed cycle backwards
+        d = nxt[2] - 2
+        if d not in (1, -1):
+            raise ValueError("cycle does not keep vertex triples intact")
+        v = start = 2 - d
+        out = []
+        for _ in range(directed_n):
+            u = v + d
+            w = u + d
+            if (v - start) % 3 or nxt[v] != u or nxt[u] != w:
+                raise ValueError("cycle does not keep vertex triples intact")
+            out.append((v + 2) // 3)
+            v = nxt[w]
+            if v == start:
+                break
+        if v != start or len(out) != directed_n:
+            raise ValueError("lifted cycle does not cover the base graph")
+        return out if d == 1 else out[:1] + out[:0:-1]
 
 
 def _deletions(records: tuple[Record, ...]) -> set[int]:
@@ -257,7 +347,11 @@ def reduce_graph(
     next pass's otherwise.  Every vertex of a degree-2 path is then
     pending, so the rule-1 scan meets each path at its smallest id and
     collapses it there, with one Contraction; the path's deleted vertices
-    stop being pending, so the scan skips them.  The passes end when nothing
+    stop being pending, so the scan skips them.  A path that closes on
+    itself, a ring of degree-2 vertices or a path whose two ends are one
+    vertex, collapses until its smallest id has two ring vertices left:
+    that is one Contraction into the terminal triangle when the ring is
+    the whole graph, and Infeasible otherwise.  The passes end when nothing
     is pending for rule 2.  The reduced graph and the reasons are exactly
     those of the pass-by-pass scan that visits every vertex on every pass
     (ascending ids, rule 2 before rule 1) until a pass changes nothing;
@@ -369,23 +463,38 @@ def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:
 def _contract_path(
     adj: list, m: int, records: list[Record], alive: int, pending: bytearray
 ) -> int | Infeasible:
-    """Collapse the degree-2 path through m, its smallest id, into m with
+    """Collapse the degree-2 run through m, its smallest id, into m with
     one record, from the side of m's smaller neighbour, and return how
-    many vertices are left alive.  The path's vertices leave `pending`,
+    many vertices are left alive.  The run's vertices leave `pending`,
     so that the scan does not visit the deleted ones above m.
 
-    Contracting step by step would keep m and absorb every other vertex
-    of the path.  A cycle of degree-2 vertices and a path whose ends
-    attach to one vertex end in Infeasible or the terminal triangle, and
-    take the step-by-step walk.
+    Contracting step by step would keep m and absorb the smaller of its
+    degree-2 neighbours each time.  A run that closes on itself, a ring of
+    degree-2 vertices or a path whose two ends are one vertex, is taken
+    that way from both sides until m is left with two ring vertices, which
+    are adjacent.  When they and m are the whole graph, the record ends in
+    that terminal triangle; otherwise contracting m with the smaller
+    degree-2 one would double the edge to the other, and no Hamiltonian
+    cycle exists.
     """
     a, b = adj[m]
     left, end_l = _path_side(adj, m, a)
-    if end_l == m:
-        return _contract_stepwise(adj, m, records, alive)
     right, end_r = _path_side(adj, m, b)
     if end_l == end_r:
-        return _contract_stepwise(adj, m, records, alive)
+        # the ring from a round to b; end_l is on it unless it is m
+        ring = left if end_l == m else [*left, end_l, *reversed(right)]
+        i, j = 0, len(ring) - 1
+        while True:
+            x, y = ring[i], ring[j]
+            take_x = len(adj[x]) == 2 and (x < y or len(adj[y]) != 2)
+            if j - i == 1:
+                break
+            i, j = (i + 1, j) if take_x else (i, j - 1)
+        left, end_l, right, end_r = ring[:i], x, ring[:j:-1], y
+        if alive - len(left) - len(right) > 3:
+            t, p = (x, y) if take_x else (y, x)
+            return Infeasible(f"contracting ({m}, {t}) would double edge to {p}")
+        pending[x] = pending[y] = 0  # the terminal triangle stays as it is
     path = (*reversed(left), m, *right)
     records.append(Contraction(m, path, (end_l, end_r)))
     for t in path:
@@ -397,124 +506,3 @@ def _contract_path(
     if right:
         adj[end_r] = _replaced(adj[end_r], right[-1], m)
     return alive - len(path) + 1
-
-
-def _contract_stepwise(
-    adj: list, node: int, records: list[Record], alive: int
-) -> int | Infeasible:
-    """Contract node with its smaller degree-2 neighbour until it has none."""
-    while len(adj[node]) == 2:
-        a, b = adj[node]
-        partner = a if len(adj[a]) == 2 else b if len(adj[b]) == 2 else 0
-        if not partner:
-            break
-        s, t = (node, partner) if node < partner else (partner, node)
-        p = sum(adj[s]) - t
-        q = sum(adj[t]) - s
-        if p == q:
-            if alive > 3:
-                return Infeasible(f"contracting ({s}, {t}) would double edge to {p}")
-            break  # a bare triangle is terminal and Hamiltonian
-        records.append(Contraction(s, (s, t), (p, q)))
-        adj[s] = (p, q) if p < q else (q, p)
-        adj[q] = _replaced(adj[q], t, s)
-        adj[t] = ()
-        alive -= 1
-        node = s
-    return alive
-
-
-def lift_cycle(lifter: CycleLifter, cycle: list[int]) -> list[int]:
-    """Replay a journal backwards over a cycle of the final graph.
-
-    The cycle is held as one successor array over the base ids.  Each
-    gadget middle is re-inserted between its bridged neighbours and each
-    contracted path re-expanded between its recorded ends, in the
-    direction the cycle runs there.  A journal led by a triplication
-    gives the directed cycle read off the triples, from vertex 1 in arc
-    order; any other gives the base cycle from the base id of the cycle's
-    first vertex, in its direction.  Raises ValueError when the journal
-    breaks a rule of `_deletions`, in the words `+` uses, and when the
-    cycle cannot have come from its final graph.
-    """
-    if not cycle:
-        raise ValueError("empty cycle")
-    gone = _deletions(lifter.records)
-    records = lifter.records
-    directed_n = None
-    if records and isinstance(records[0], Triplication):
-        directed_n = records[0].n
-        records = records[1:]
-    base = len(cycle) + len(gone)
-    if directed_n is not None and base != 3 * directed_n:
-        raise ValueError(
-            f"cycle length {len(cycle)} inconsistent with journal "
-            f"({len(gone)} deletions from {3 * directed_n} vertices)"
-        )
-    if max(gone, default=0) > base:
-        raise ValueError("journal refers to vertices outside the graph")
-    if sorted(cycle) != list(range(1, len(cycle) + 1)):
-        raise ValueError("cycle is not a permutation of the final graph's vertices")
-    alive = list(filterfalse(gone.__contains__, range(1, base + 1)))
-    base_cycle = [alive[c - 1] for c in cycle]
-
-    # nxt[v] is v's successor on the cycle, 0 while v is off it
-    nxt = [0] * (base + 1)
-    for v, w in pairwise(chain(base_cycle, base_cycle[:1])):
-        nxt[v] = w
-
-    for rec in reversed(records):
-        if isinstance(rec, GadgetRemoval):
-            a, b = rec.left, rec.right
-            if not (0 < a <= base and 0 < b <= base and (nxt[a] == b or nxt[b] == a)):
-                raise ValueError(
-                    f"cycle not consistent with journal: {a} and {b} not adjacent"
-                )
-            seq = (a, rec.removed, b) if nxt[a] == b else (b, rec.removed, a)
-        else:
-            s, (a, b), path = rec.survivor, rec.ends, rec.path
-            inside = 0 < s <= base and 0 < a <= base and 0 < b <= base
-            if inside and nxt[a] == s and nxt[s] == b:
-                seq = (a, *path, b)
-            elif inside and nxt[b] == s and nxt[s] == a:
-                seq = (b, *reversed(path), a)
-            else:
-                # a survivor off the cycle, or outside the graph, is in no
-                # nxt entry: it has neighbours {0}, as nxt[0] is 0
-                around = {nxt.index(s), nxt[s]} if s in nxt else {0}
-                raise ValueError(
-                    "cycle not consistent with journal: contraction "
-                    f"survivor {s} has neighbours {sorted(around)}"
-                )
-        # the cycle runs along seq now; the vertices inside it other than a
-        # survivor were off the cycle, as they are deleted by no other record
-        for x, y in pairwise(seq):
-            nxt[x] = y
-
-    if directed_n is None:
-        out = [base_cycle[0]]
-        while (w := nxt[out[-1]]) != out[0]:
-            out.append(w)
-        if len(out) != base:
-            raise ValueError("lifted cycle does not cover the base graph")
-        return out
-    # every triple reads in-copy, middle, out-copy one way round the cycle:
-    # along nxt from in-copy 1 (d = 1), or against it, so that nxt runs
-    # from out-copy 3 (d = -1) and meets the directed cycle backwards
-    d = nxt[2] - 2
-    if d not in (1, -1):
-        raise ValueError("cycle does not keep vertex triples intact")
-    v = start = 2 - d
-    out = []
-    for _ in range(directed_n):
-        u = v + d
-        w = u + d
-        if (v - start) % 3 or nxt[v] != u or nxt[u] != w:
-            raise ValueError("cycle does not keep vertex triples intact")
-        out.append((v + 2) // 3)
-        v = nxt[w]
-        if v == start:
-            break
-    if v != start or len(out) != directed_n:
-        raise ValueError("lifted cycle does not cover the base graph")
-    return out if d == 1 else out[:1] + out[:0:-1]

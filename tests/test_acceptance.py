@@ -15,7 +15,6 @@ from sudoku2hcp import (
     build_hcp,
     enumerate_solutions,
     graph_stats,
-    lift_cycle,
     parse_sudoku,
     prune_fixed,
     recover_solution,
@@ -153,7 +152,7 @@ def test_criterion_6_pipeline_oracle_equivalence():
         graph, lifter = undirect(prune_fixed(build_hcp(4), inst)[0])
         outcome = solve_hcp(graph)
         assert outcome.status == "cycle"
-        grid = recover_solution(lift_cycle(lifter, outcome.cycle), 4)
+        grid = recover_solution(lifter.lift(outcome.cycle), 4)
         elapsed = time.monotonic() - t0
         worst = max(worst, elapsed)
         assert elapsed < 5.0

@@ -265,6 +265,26 @@ def test_chained_journal_that_deletes_a_vertex_twice(
     assert not out.exists() and not jout.exists()
 
 
+@pytest.mark.parametrize("journal", ["missing", "g 0 1 4\n"])
+def test_chained_journal_read_before_reduce_refutes(puzzle_file, capsys, tmp_path, journal):
+    # the path 1-2-3-4 is refuted by reduce, but a journal that cannot be
+    # read or breaks a rule is still an input error, with nothing written
+    graph = puzzle_file("path.uhcp", "UHCP 4 3\n1 2\n2 3\n3 4\n")
+    jf = str(tmp_path / "missing.journal")
+    if journal != "missing":
+        jf = puzzle_file("zero.journal", journal)
+    out, jout = tmp_path / "o.uhcp", tmp_path / "o.journal"
+    argv = ["reduce", graph, "-o", str(out), "--journal", jf, "--journal-out", str(jout)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    if journal == "missing":
+        assert err.startswith("error: [Errno 2] No such file or directory")
+    else:
+        assert err == "error: journal refers to vertices outside the graph\n"
+    assert not out.exists() and not jout.exists()
+    assert main(argv[:4] + argv[6:]) == 1
+
+
 @pytest.mark.parametrize(
     "name, text, err",
     [

@@ -14,7 +14,6 @@ from sudoku2hcp import (
     build_hcp,
     compress_triples,
     export_graph,
-    lift_cycle,
     parse_sudoku,
     prune_fixed,
     recover_solution,
@@ -138,11 +137,11 @@ class TestProject:
 
     def test_two_vertex_cycle(self):
         lifter = CycleLifter((Triplication(2),))
-        assert lift_cycle(lifter, [1, 2, 3, 4, 5, 6]) == [1, 2]
-        assert lift_cycle(lifter, [6, 5, 4, 3, 2, 1]) == [1, 2]
+        assert lifter.lift([1, 2, 3, 4, 5, 6]) == [1, 2]
+        assert lifter.lift([6, 5, 4, 3, 2, 1]) == [1, 2]
         # any rotation, in either direction
-        assert lift_cycle(lifter, [4, 5, 6, 1, 2, 3]) == [1, 2]
-        assert lift_cycle(lifter, [2, 1, 6, 5, 4, 3]) == [1, 2]
+        assert lifter.lift([4, 5, 6, 1, 2, 3]) == [1, 2]
+        assert lifter.lift([2, 1, 6, 5, 4, 3]) == [1, 2]
 
     def test_witness_round_trip(self):
         g = build_hcp(4)
@@ -152,14 +151,14 @@ class TestProject:
         w = witness_cycle(blank_instance(4), sol)
         tc = triplicate_cycle(w)
         assert verify_cycle(ug, tc)
-        back = lift_cycle(lifter, tc)
+        back = lifter.lift(tc)
         assert verify_cycle(g, back)
         assert recover_solution(back, 4) == sol
 
     def test_broken_triple_rejected(self):
         lifter = CycleLifter((Triplication(2),))
         with pytest.raises(ValueError, match="triples"):
-            lift_cycle(lifter, [1, 2, 4, 3, 5, 6])
+            lifter.lift([1, 2, 4, 3, 5, 6])
 
     def test_every_rotation_and_direction_lifts_to_one_cycle(self):
         # the directed cycle comes back from vertex 1, in arc order, from
@@ -177,7 +176,7 @@ class TestProject:
             tc = triplicate_cycle(want)
             for c in (tc, tc[::-1]):
                 for k in range(len(c)):
-                    assert lift_cycle(lifter, c[k:] + c[:k]) == want
+                    assert lifter.lift(c[k:] + c[:k]) == want
             checked += 1
 
     def test_solver_cycle_rotations_lift_to_the_pipelines_cycle(self):
@@ -330,7 +329,7 @@ class TestReduce:
         assert not isinstance(out, Infeasible)
         reduced, lifter = out
         assert reduced.n == 3  # terminal triangle
-        lifted = lift_cycle(lifter, [1, 2, 3])
+        lifted = lifter.lift([1, 2, 3])
         assert verify_cycle(g, lifted)
 
     def test_rule2_deletes_extra_edges(self):
@@ -347,7 +346,7 @@ class TestReduce:
         # the journal keeps no record of the deleted edges
         assert all(isinstance(r, Contraction) for r in lifter.records)
         assert reduced.n == 3  # the remaining ring collapses to a triangle
-        lifted = lift_cycle(lifter, [1, 2, 3])
+        lifted = lifter.lift([1, 2, 3])
         assert verify_cycle(g, lifted)
         assert lifted == [1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -476,7 +475,7 @@ def check_lift_of_reduce(g: UndirectedGraph):
         return out
     reduced, lifter = out
     lifted = [
-        canonical_cycle(lift_cycle(lifter, list(c)))
+        canonical_cycle(lifter.lift(list(c)))
         for c in all_undirected_hamiltonian_cycles(reduced.n, reduced.edges())
     ]
     assert len(set(lifted)) == len(lifted)
@@ -606,14 +605,12 @@ def runs_from_smaller_neighbour(rec: Contraction) -> bool:
 
 
 def assert_matches_oracle(g: UndirectedGraph):
-    """checked_reduce(g) against the pass-by-pass scan; unless the graph
-    ends in the terminal triangle, whose step-by-step pairs read survivor
-    first, every path also follows the orientation rule.  Returns the
-    oracle's answer."""
+    """checked_reduce(g) against the pass-by-pass scan, with every path
+    following the orientation rule.  Returns the oracle's answer."""
     out = checked_reduce(g)
     want = reduce_graph_by_passes(g)
     assert reduce_text(out) == oracle_text(want), list(g.edges())
-    if not isinstance(out, Infeasible) and out[0].n > 3:
+    if not isinstance(out, Infeasible):
         assert all(map(runs_from_smaller_neighbour, out[1].records))
     return want
 
@@ -681,15 +678,15 @@ class TestReduceMatchesPassByPass:
         assert reduced.n == 7 and set(reduced.edges()) >= {(1, 2), (1, 3)}
 
     def test_four_cycle_ends_in_triangle(self):
-        # a cycle of degree-2 vertices takes the step-by-step walk: one
-        # contraction, then the terminal triangle
+        # a cycle of degree-2 vertices collapses into 1 from its smaller
+        # neighbour's side, with one record, until the terminal triangle
         g = cycle_graph(4)
         out = reduce_graph(g)
         assert reduce_text(out) == oracle_text(reduce_graph_by_passes(g))
         reduced, lifter = out
-        assert lifter.records == (Contraction(1, (1, 2), (4, 3)),)
+        assert lifter.records == (Contraction(1, (2, 1), (3, 4)),)
         assert set(reduced.edges()) == {(1, 2), (1, 3), (2, 3)}
-        assert lift_cycle(lifter, [1, 2, 3]) == [1, 2, 3, 4]
+        assert lifter.lift([1, 2, 3]) == [1, 2, 3, 4]
 
     def test_path_ends_at_one_vertex(self):
         # rule 2 at 4 leaves the path 6-4-1-7 of degree-2 vertices, and
@@ -701,6 +698,45 @@ class TestReduceMatchesPassByPass:
         assert reduce_graph_by_passes(g) == want
         assert reduce_graph(g) == want
 
+    def test_rings_against_the_oracle(self):
+        rng = random.Random(4711)
+        # a whole ring under random labels: one record into the terminal
+        # triangle, whose cycles lift to cycles of the ring
+        for k in range(4, 17):
+            for _ in range(12):
+                ring = rng.sample(range(1, k + 1), k)
+                g = UndirectedGraph(k, list(zip(ring, ring[1:] + ring[:1])))
+                assert_matches_oracle(g)
+                reduced, lifter = reduce_graph(g)
+                assert reduced.n == 3 and len(lifter.records) == 1
+                for c in ([1, 2, 3], [3, 2, 1]):
+                    assert verify_cycle(g, lifter.lift(c))
+        # a ring beside a clique: a forced short cycle
+        for _ in range(100):
+            k, r = rng.randint(3, 12), rng.randint(4, 6)
+            labels = rng.sample(range(1, k + r + 1), k + r)
+            ring, clique = labels[:k], labels[k:]
+            edges = list(zip(ring, ring[1:] + ring[:1]))
+            edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]]
+            g = UndirectedGraph(k + r, edges)
+            want = assert_matches_oracle(g)
+            assert want.reason.startswith(f"contracting ({min(ring)}, ")
+        # a path that closes on one vertex e, from relabelling the graph of
+        # test_path_ends_at_one_vertex, whose path 6-4-1-7 closes on 2: the
+        # scan meets the path at its smallest id m, above e or below it
+        edges = [(1, 4), (1, 7), (2, 3), (2, 5), (2, 6), (2, 7),
+                 (3, 4), (3, 5), (4, 5), (4, 6), (4, 7)]
+        sides = set()
+        for _ in range(200):
+            label = [0, *rng.sample(range(1, 8), 7)]
+            g = UndirectedGraph(7, [(label[a], label[b]) for a, b in edges])
+            reason = assert_matches_oracle(g).reason
+            found = re.fullmatch(r"contracting \((\d+), \d+\) would double edge to (\d+)", reason)
+            path = {label[6], label[4], label[1], label[7]}
+            if found and int(found[1]) in path and int(found[2]) == label[2]:
+                sides.add(int(found[1]) < label[2])
+        assert sides == {True, False}
+
     def test_deletion_below_cursor_feeds_next_pass(self):
         # rule 2 at 4 drops (4, 5), so 5 falls to degree 2 and its
         # neighbours 1 and 2, both already scanned, gain a degree-2
@@ -711,48 +747,49 @@ class TestReduceMatchesPassByPass:
         out = reduce_graph(g)
         assert reduce_text(out) == oracle_text(reduce_graph_by_passes(g))
         reduced, lifter = out
-        # one record for the path 3-4-6 between 1 and 2, none for the
-        # deleted edges (4, 5) and (1, 2)
+        # one record for the path 3-4-6 between 1 and 2, one for the ring
+        # 1-3-2-5 ending in the triangle, none for the deleted edges (4, 5)
+        # and (1, 2)
         assert lifter.records == (
             Contraction(3, (3, 4, 6), (1, 2)),
-            Contraction(1, (1, 3), (5, 2)),
+            Contraction(1, (3, 1), (2, 5)),
         )
         assert reduced.n == 3
-        assert lift_cycle(lifter, [1, 2, 3]) == [1, 3, 4, 6, 2, 5]
-        assert verify_cycle(g, lift_cycle(lifter, [1, 2, 3]))
+        assert lifter.lift([1, 2, 3]) == [1, 3, 4, 6, 2, 5]
+        assert verify_cycle(g, lifter.lift([1, 2, 3]))
 
 
 class TestLift:
     def test_empty_journal_identity(self):
-        assert lift_cycle(CycleLifter(), [2, 3, 1]) == [2, 3, 1]
+        assert CycleLifter().lift([2, 3, 1]) == [2, 3, 1]
 
     def test_single_contraction_replay(self):
         # square 1-2-3-4 with absorbed vertex: contract 2 into ... use a
         # pentagon so reduction stops before a triangle collapse
         rec = Contraction(survivor=2, path=(2, 3), ends=(1, 4))
         # final graph ids: 1..4 (vertex 3 was absorbed, old 4,5 -> 3,4)
-        lifted = lift_cycle(CycleLifter((rec,)), [1, 2, 3, 4])
+        lifted = CycleLifter((rec,)).lift([1, 2, 3, 4])
         assert lifted == [1, 2, 3, 4, 5]
         # the cycle may run through the path either way
-        assert lift_cycle(CycleLifter((rec,)), [4, 3, 2, 1]) == [5, 4, 3, 2, 1]
+        assert CycleLifter((rec,)).lift([4, 3, 2, 1]) == [5, 4, 3, 2, 1]
 
     def test_path_replay(self):
         # the path 2-3-4-5 collapsed into 4, attached to 1 and 6, in a ring
         # of 7: final ids 1, 4, 6, 7 become 1..4
         rec = Contraction(survivor=4, path=(2, 3, 4, 5), ends=(1, 6))
         lifter = CycleLifter((rec,))
-        assert lift_cycle(lifter, [1, 2, 3, 4]) == [1, 2, 3, 4, 5, 6, 7]
-        assert lift_cycle(lifter, [3, 2, 1, 4]) == [6, 5, 4, 3, 2, 1, 7]
+        assert lifter.lift([1, 2, 3, 4]) == [1, 2, 3, 4, 5, 6, 7]
+        assert lifter.lift([3, 2, 1, 4]) == [6, 5, 4, 3, 2, 1, 7]
 
     def test_gadget_replay(self):
         rec = GadgetRemoval(removed=3, left=2, right=4)
-        lifted = lift_cycle(CycleLifter((rec,)), [1, 2, 3, 4])
+        lifted = CycleLifter((rec,)).lift([1, 2, 3, 4])
         assert lifted == [1, 2, 3, 4, 5]
 
     def test_inconsistent_cycle_rejected(self):
         rec = Contraction(survivor=2, path=(2, 3), ends=(1, 4))
         with pytest.raises(ValueError, match="consistent|neighbours"):
-            lift_cycle(CycleLifter((rec,)), [1, 3, 2, 4])
+            CycleLifter((rec,)).lift([1, 3, 2, 4])
 
     def test_full_pipeline_lift(self):
         rng = random.Random(5)
@@ -767,7 +804,7 @@ class TestLift:
         chain = lifter + step1 + step2
         outcome = solve_hcp(reduced)
         assert outcome.status == "cycle"
-        directed = lift_cycle(chain, outcome.cycle)
+        directed = chain.lift(outcome.cycle)
         assert verify_cycle(pruned, directed)
         assert recover_solution(directed, 4) == sol
 
@@ -793,7 +830,7 @@ class TestLift:
         "right", [CycleLifter(), CycleLifter((Contraction(2, (2, 3), (1, 4)),))]
     )
     def test_concatenation_refuses_a_vertex_deleted_twice(self, right):
-        # lift_cycle refuses such a journal with the same words
+        # lift refuses such a journal with the same words
         left = CycleLifter((GadgetRemoval(5, 1, 4), GadgetRemoval(5, 1, 4)))
         with pytest.raises(ValueError, match=r"^journal deletes vertex 5 twice$"):
             left + right
@@ -831,7 +868,7 @@ class TestLift:
     )
     def test_bad_base_ids_rejected(self, records, cycle, match):
         with pytest.raises(ValueError, match=match):
-            lift_cycle(CycleLifter(records), cycle)
+            CycleLifter(records).lift(cycle)
 
     @pytest.mark.parametrize(
         "records,cycle,message",
@@ -914,7 +951,7 @@ class TestLift:
     )
     def test_rejection_messages(self, records, cycle, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            lift_cycle(CycleLifter(records), cycle)
+            CycleLifter(records).lift(cycle)
 
     @pytest.mark.parametrize(
         "records, message",
@@ -950,7 +987,7 @@ class TestLift:
         with pytest.raises(ValueError, match=exact):
             left + CycleLifter()
         with pytest.raises(ValueError, match=exact):
-            lift_cycle(left, [1, 2, 3])
+            left.lift([1, 2, 3])
 
     def test_right_journal_left_to_the_lift(self):
         # + checks only its left journal; the lift refuses the right one's
@@ -1016,7 +1053,7 @@ class TestLift:
         assert got.records == joined
         message = "journal refers to vertices outside the graph"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            lift_cycle(got, [1, 2, 3])
+            got.lift([1, 2, 3])
 
     def test_survivor_end_refused_by_concatenation(self):
         left = CycleLifter((Contraction(3, (3, 4), (3, 1)),))
@@ -1027,4 +1064,4 @@ class TestLift:
     def test_triplication_must_lead(self):
         recs = (GadgetRemoval(3, 2, 4), Triplication(2))
         with pytest.raises(ValueError, match="start"):
-            lift_cycle(CycleLifter(recs), [1, 2, 3, 4, 5])
+            CycleLifter(recs).lift([1, 2, 3, 4, 5])
