@@ -29,7 +29,7 @@ from .pipeline import PipelineConfig, solve_instance
 from .solve import SolveBudget, format_stats_line, solve_hcp, verify_cycle
 from .sudoku import format_grid, parse_grid, parse_sudoku, validate_grid
 from .transform import CycleLifter, Infeasible, compress_triples, reduce_graph, undirect
-from .transform import _deletions
+from .transform import _base_count, _deletions
 
 OK, UNSAT, BUDGET, INPUT_ERROR = 0, 1, 2, 3
 
@@ -86,17 +86,19 @@ def _cmd_undirect(args) -> int:
     return OK
 
 
-def _chain_journal(args) -> CycleLifter:
-    """The --journal to extend, or none, checked as `+` checks it: read
-    before the graph is transformed, whatever the transform answers."""
+def _chain_journal(args, g: UndirectedGraph) -> CycleLifter:
+    """The --journal to extend, or none, checked as `+` checks it and, by
+    the sizes a lift checks, to end in a graph of g's vertex count: read
+    before g is transformed, whatever the transform answers."""
     chain = load_journal(_read(args.journal)) if args.journal else CycleLifter()
-    _deletions(chain.records)
+    gone = _deletions(chain.records)
+    _base_count(chain.records, gone, g.n, f"graph of {g.n} vertices")
     return chain
 
 
 def _cmd_compress(args) -> int:
     g = _load_undirected(args.graph)
-    chain = _chain_journal(args)
+    chain = _chain_journal(args, g)
     out, step = compress_triples(g)
     journal = save_journal(chain + step)
     _write(args.out, export_graph(out))
@@ -107,7 +109,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_undirected(args.graph)
-    chain = _chain_journal(args)
+    chain = _chain_journal(args, g)
     result = reduce_graph(g)
     if isinstance(result, Infeasible):
         print(f"infeasible: {result.reason}", file=sys.stderr)

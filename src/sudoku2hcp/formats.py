@@ -145,9 +145,12 @@ def save_journal(lifter: CycleLifter) -> str:
     """Line format, in the journal's base ids: 'T n',
     'g removed left right' and 'p survivor end0 end1 v1 ... vk', a
     contracted path v1..vk (survivor included, k >= 2) that runs from the
-    vertex next to end0 to the vertex next to end1.  reduce_graph orients
-    it as Contraction states: in end0 v1 ... vk end1 the id just before
-    the survivor is smaller than the id just after it."""
+    vertex next to end0 to the vertex next to end1.  reduce_graph writes
+    one p line per run that survives it, holding every vertex folded into
+    the survivor, and orients it as Contraction states: in end0 v1 ... vk
+    end1 the id just before the survivor is smaller than the id just after
+    it.  Journals with a p line per contracted pair, as reduce_graph once
+    wrote them, have the same format and lift alike."""
     lines = []
     for rec in lifter.records:
         if isinstance(rec, Triplication):

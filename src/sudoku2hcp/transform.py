@@ -7,7 +7,9 @@ last two work on its own neighbour tuples and renumber what survives the
 same way) and returns a new graph together with a CycleLifter journal;
 replaying the journal backwards maps a Hamiltonian cycle of the
 transformed graph to one of the original graph.  Deleted edges leave no
-record: a cycle of a subgraph is a cycle of the graph.
+record: a cycle of a subgraph is a cycle of the graph.  The reduction
+writes one record per degree-2 run that survives it, however many passes
+the run took to form.
 
 Record id semantics: every record names vertices by their id in the
 journal's base graph, the graph its first transform was applied to (after
@@ -57,7 +59,11 @@ class Contraction:
     vertex next to ends[0] to the vertex next to ends[1]; `ends` are the
     outer neighbours the path attaches to.  Every vertex of `path` but the
     survivor is deleted, and the survivor is left adjacent to both ends.
-    reduce_graph writes every path from the side of the survivor's smaller
+    reduce_graph writes one per run that survives in its output: the
+    survivor is the run's smallest id, the path every vertex folded into
+    it, and the ends are vertices of the output, except that in a terminal
+    triangle a record may end on the path of the one written after it.
+    It writes every path from the side of the survivor's smaller
     neighbour: the vertex before the survivor, or ends[0], has a smaller id
     than the one after it, or ends[1].
     """
@@ -112,19 +118,12 @@ class CycleLifter:
         if not cycle:
             raise ValueError("empty cycle")
         gone = _deletions(self.records)
+        base = _base_count(self.records, gone, len(cycle), f"cycle length {len(cycle)}")
         records = self.records
         directed_n = None
         if records and isinstance(records[0], Triplication):
             directed_n = records[0].n
             records = records[1:]
-        base = len(cycle) + len(gone)
-        if directed_n is not None and base != 3 * directed_n:
-            raise ValueError(
-                f"cycle length {len(cycle)} inconsistent with journal "
-                f"({len(gone)} deletions from {3 * directed_n} vertices)"
-            )
-        if max(gone, default=0) > base:
-            raise ValueError("journal refers to vertices outside the graph")
         if sorted(cycle) != list(range(1, len(cycle) + 1)):
             raise ValueError("cycle is not a permutation of the final graph's vertices")
         alive = list(filterfalse(gone.__contains__, range(1, base + 1)))
@@ -207,6 +206,22 @@ def _deletions(records: tuple[Record, ...]) -> set[int]:
         d = next(d for d in ids if d in seen or seen.add(d))
         raise ValueError(f"journal deletes vertex {d} twice")
     return gone
+
+
+def _base_count(records: tuple[Record, ...], gone: set[int], n: int, what: str) -> int:
+    """The vertex count of the base graph of a journal, deleting `gone`,
+    whose final graph has n vertices (`what` names them in an error): n
+    plus the deletions.  Raises ValueError when a leading triplication
+    gives another count, or a deleted id lies above it."""
+    base = n + len(gone)
+    if records and isinstance(records[0], Triplication) and base != 3 * records[0].n:
+        raise ValueError(
+            f"{what} inconsistent with journal "
+            f"({len(gone)} deletions from {3 * records[0].n} vertices)"
+        )
+    if max(gone, default=0) > base:
+        raise ValueError("journal refers to vertices outside the graph")
+    return base
 
 
 def _deleted_ids(rec: Record) -> tuple[int, ...]:
@@ -334,28 +349,32 @@ def reduce_graph(
     Rule 2: a vertex with two degree-2 neighbours keeps only the edges to
     them; its other edges can never be used and are deleted.
 
-    Each pass scans its pending vertices in ascending id, first for rule 2
-    and then for rule 1, since rule 2 creates the chains that rule 1
-    collapses.  Rule 2 never lowers a vertex below degree 2 and a
-    contraction changes no degree, so only a rule-2 deletion makes a
-    vertex newly pending: the first pass seeds rule 2 at the vertices with
-    two or more degree-2 neighbours and rule 1 at the degree-2 vertices.
-    A deletion at v leaves v with degree 2 and makes v and its two kept
-    neighbours pending for rule 1.  A dropped neighbour w that falls to
-    degree 2 makes w and its neighbours pending for rule 1, and its
-    neighbours for rule 2 too: in this scan if they lie above v, in the
-    next pass's otherwise.  Every vertex of a degree-2 path is then
-    pending, so the rule-1 scan meets each path at its smallest id and
-    collapses it there, with one Contraction; the path's deleted vertices
-    stop being pending, so the scan skips them.  A path that closes on
-    itself, a ring of degree-2 vertices or a path whose two ends are one
-    vertex, collapses until its smallest id has two ring vertices left:
-    that is one Contraction into the terminal triangle when the ring is
-    the whole graph, and Infeasible otherwise.  The passes end when nothing
-    is pending for rule 2.  The reduced graph and the reasons are exactly
-    those of the pass-by-pass scan that visits every vertex on every pass
-    (ascending ids, rule 2 before rule 1) until a pass changes nothing;
-    its pair contractions are the journal's paths taken apart.
+    Phase 1 applies rule 2 alone, pass by pass, each pass scanning its
+    pending vertices in ascending id.  Rule 2 never lowers a vertex below
+    degree 2, so only a rule-2 deletion makes a vertex newly pending: the
+    first pass seeds the vertices with two or more degree-2 neighbours.  A
+    dropped neighbour w that falls to degree 2 makes its neighbours of
+    higher degree pending, in this pass if they lie above the vertex v
+    that dropped it, in the next pass otherwise.  The passes end when
+    nothing is pending; `fell` keeps the pass in which each vertex fell to
+    degree 2, and a vertex of degree 2 keeps its two edges from then on.
+    Phase 2 is one ascending sweep: it meets each maximal degree-2 run at
+    its smallest id and collapses the run into that id with one
+    Contraction, so the journal holds one record per run that survives.
+
+    The reduced graph and the reasons equal those of the pass-by-pass scan
+    that visits every vertex on every pass, rule 2 and then rule 1 (each
+    run collapsed into its smallest id), until a pass changes nothing.  A
+    contraction changes no degree and no count of degree-2 neighbours, so
+    the scan's rule 2 decides as phase 1 does, and either way a run's
+    survivor is its smallest id.  Only a run that closes on itself, a ring
+    of degree-2 vertices or a path whose two ends are one vertex, sets
+    the scan apart: it meets the run in the pass in which it closes, with
+    the stretches that fell in earlier passes already collapsed, and
+    either refutes it or, when the ring is the whole graph, keeps the
+    terminal triangle.  Which pass that was, and the vertices it left, is
+    replayed from `fell` (`_as_met`), only when phase 2 meets a ring or
+    phase 1 refutes in a pass after the first.
 
     Returns Infeasible when the rules certify that no Hamiltonian cycle
     exists: fewer edges than vertices or a vertex of degree below 2 (both
@@ -373,24 +392,29 @@ def reduce_graph(
     # g's own sorted tuples (keys 1..n, as no degree is < 2); a rule that
     # changes a vertex writes it a new sorted one, and a deleted vertex ()
     adj: list[tuple[int, ...]] = [(), *g._adj.values()]
-    records: list[Record] = []
-    alive = n
-    rule1 = bytearray([len(t) == 2 for t in adj])
+    deg2 = bytearray([len(t) == 2 for t in adj])
+    fell = [0] * (n + 1)
     rule2 = bytearray(n + 1)
-    for x, k in Counter(chain.from_iterable(compress(adj, rule1))).items():
+    for x, k in Counter(chain.from_iterable(compress(adj, deg2))).items():
         if k > 1:
             rule2[x] = 1
+    # phase 1: rule 2 to its fixpoint
+    passes = 0
     while True:
         next_rule2 = bytearray(n + 1)
         v = rule2.find(1, 1)
         while v != -1:
             nbrs = adj[v]
             if len(nbrs) > 2:
-                deg2 = [u for u in nbrs if len(adj[u]) == 2]
-                if len(deg2) >= 3:
-                    return Infeasible(f"vertex {v} has {len(deg2)} degree-2 neighbours")
-                if len(deg2) == 2:
-                    d0, d1 = adj[v] = tuple(deg2)
+                kept = [u for u in nbrs if len(adj[u]) == 2]
+                if len(kept) >= 3:
+                    # unless the scan refuted a run that closed in an earlier pass
+                    first = _first_closed(adj, fell, passes - 1)
+                    return first or Infeasible(f"vertex {v} has {len(kept)} degree-2 neighbours")
+                if len(kept) == 2:
+                    d0, d1 = adj[v] = tuple(kept)
+                    deg2[v] = 1
+                    fell[v] = passes
                     for w in nbrs:
                         if w == d0 or w == d1:
                             continue
@@ -398,31 +422,46 @@ def reduce_graph(
                         i = around.index(v)
                         adj[w] = around = around[:i] + around[i + 1 :]
                         if len(around) == 2:
-                            rule1[w] = 1
+                            deg2[w] = 1
+                            fell[w] = passes
                             for x in around:
-                                rule1[x] = 1
+                                if len(adj[x]) == 2:
+                                    continue  # takes no rule-2 step again
                                 if x > v:
                                     rule2[x] = 1
                                 else:
                                     next_rule2[x] = 1
-                    rule1[v] = rule1[d0] = rule1[d1] = 1
             v = rule2.find(1, v + 1)
-
-        v = rule1.find(1, 1)
-        while v != -1:
-            if len(adj[v]) == 2:
-                a, b = adj[v]
-                if len(adj[a]) == 2 or len(adj[b]) == 2:
-                    alive = _contract_path(adj, v, records, alive, rule1)
-                    if isinstance(alive, Infeasible):
-                        return alive
-            v = rule1.find(1, v + 1)
-
         if next_rule2.find(1) == -1:
             break
-        rule2, rule1 = next_rule2, bytearray(n + 1)
+        rule2 = next_rule2
+        passes += 1
 
-    # the contraction guards never double an edge
+    # phase 2: each run into its smallest id
+    records: list[Record] = []
+    v = deg2.find(1, 1)
+    while v != -1:
+        a, b = adj[v]
+        if len(adj[a]) == 2 or len(adj[b]) == 2:
+            left, end_l = _path_side(adj, v, a)
+            right, end_r = _path_side(adj, v, b)
+            if end_l == end_r:
+                # at the fixpoint a closed run is a ring, a whole component
+                # that no contraction has touched
+                if len(left) + 1 == n:
+                    return _terminal_triangle([v, *left], fell)
+                return _first_closed(adj, fell, passes)
+            for t in chain(left, right):
+                adj[t] = ()
+                deg2[t] = 0
+            records.append(Contraction(v, (*reversed(left), v, *right), (end_l, end_r)))
+            adj[v] = (end_l, end_r) if end_l < end_r else (end_r, end_l)
+            if left:
+                adj[end_l] = _replaced(adj[end_l], left[-1], v)
+            if right:
+                adj[end_r] = _replaced(adj[end_r], right[-1], v)
+        v = deg2.find(1, v + 1)
+    # a run's two ends differ, so no contraction doubles an edge
     return _renumbered(adj), CycleLifter(tuple(records))
 
 
@@ -450,7 +489,7 @@ def _replaced(nbrs: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
 
 def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:
     """The degree-2 vertices from `head` away from m, in order, and the
-    vertex after them: the end the path attaches to, or m for a cycle."""
+    vertex after them: the end the path attaches to, or m for a ring."""
     side: list[int] = []
     prev, cur = m, head
     while cur != m and len(adj[cur]) == 2:
@@ -460,49 +499,101 @@ def _path_side(adj: list, m: int, head: int) -> tuple[list[int], int]:
     return side, cur
 
 
-def _contract_path(
-    adj: list, m: int, records: list[Record], alive: int, pending: bytearray
-) -> int | Infeasible:
-    """Collapse the degree-2 run through m, its smallest id, into m with
-    one record, from the side of m's smaller neighbour, and return how
-    many vertices are left alive.  The run's vertices leave `pending`,
-    so that the scan does not visit the deleted ones above m.
+def _oriented(s: int, path: tuple[int, ...], ends: tuple[int, int]) -> Contraction:
+    """The Contraction of `path` into s between `ends`, turned if need be
+    to run from the side of the survivor's smaller neighbour."""
+    k = path.index(s)
+    before = path[k - 1] if k else ends[0]
+    after = path[k + 1] if k + 1 < len(path) else ends[1]
+    if before > after:
+        path, ends = path[::-1], (ends[1], ends[0])
+    return Contraction(s, path, ends)
 
-    Contracting step by step would keep m and absorb the smaller of its
-    degree-2 neighbours each time.  A run that closes on itself, a ring of
-    degree-2 vertices or a path whose two ends are one vertex, is taken
-    that way from both sides until m is left with two ring vertices, which
-    are adjacent.  When they and m are the whole graph, the record ends in
-    that terminal triangle; otherwise contracting m with the smaller
-    degree-2 one would double the edge to the other, and no Hamiltonian
-    cycle exists.
-    """
-    a, b = adj[m]
-    left, end_l = _path_side(adj, m, a)
-    right, end_r = _path_side(adj, m, b)
-    if end_l == end_r:
-        # the ring from a round to b; end_l is on it unless it is m
-        ring = left if end_l == m else [*left, end_l, *reversed(right)]
-        i, j = 0, len(ring) - 1
-        while True:
-            x, y = ring[i], ring[j]
-            take_x = len(adj[x]) == 2 and (x < y or len(adj[y]) != 2)
-            if j - i == 1:
-                break
-            i, j = (i + 1, j) if take_x else (i, j - 1)
-        left, end_l, right, end_r = ring[:i], x, ring[:j:-1], y
-        if alive - len(left) - len(right) > 3:
-            t, p = (x, y) if take_x else (y, x)
-            return Infeasible(f"contracting ({m}, {t}) would double edge to {p}")
-        pending[x] = pending[y] = 0  # the terminal triangle stays as it is
-    path = (*reversed(left), m, *right)
-    records.append(Contraction(m, path, (end_l, end_r)))
-    for t in path:
-        adj[t] = ()
-        pending[t] = 0
-    adj[m] = (end_l, end_r) if end_l < end_r else (end_r, end_l)
-    if left:
-        adj[end_l] = _replaced(adj[end_l], left[-1], m)
-    if right:
-        adj[end_r] = _replaced(adj[end_r], right[-1], m)
-    return alive - len(path) + 1
+
+def _closed_runs(adj: list, fell: list[int], last: int):
+    """Every run that had closed on itself by pass `last`, as its cycle of
+    vertices and the pass in which each fell to degree 2.  Only vertices
+    of degree 2 that fell by then count as the run's; the vertex that both
+    ends of a path attach to comes first and counts as falling later."""
+    view = [t if f <= last else () for t, f in zip(adj, fell)]
+    for m, t in enumerate(view):
+        if len(t) == 2:
+            left, end_l = _path_side(view, m, t[0])
+            right, end_r = _path_side(view, m, t[1])
+            for u in chain(left, right):
+                view[u] = ()
+            if end_l == m:
+                yield [m, *left], [fell[u] for u in (m, *left)]
+            elif end_l == end_r:
+                path = [*reversed(left), m, *right]
+                yield [end_l, *path], [last + 1, *(fell[u] for u in path)]
+
+
+def _as_met(cycle: list[int], f: list[int]):
+    """How the pass-by-pass scan meets a closed run, given the pass f[k] in
+    which cycle[k] fell to degree 2.  The run closes in pass q, the second
+    largest of the f (the largest, when two share it): a vertex that falls
+    after q still has a third edge in pass q.  By then each stretch of the
+    cycle that fell before q is collapsed into its smallest id.  The scan
+    visits the run at m, its smallest id of degree 2, and m absorbs the
+    smaller degree-2 one of its two neighbours until two are left, t and
+    p, the last to absorb and the other.  Returns (q, m, t, p, groups, i):
+    groups are the stretches in cycle order from m's, and t and p stand
+    for groups i + 1 and i + 2 in some order."""
+    top = max(f)
+    k = f.index(top)
+    q = max(f[:k] + f[k + 1 :])
+    late = cycle[k] if top > q else None
+    groups: list[list[int]] = []
+    joined = False
+    for c, fc in zip(cycle[k:] + cycle[:k], f[k:] + f[:k]):
+        if joined and fc < q:
+            groups[-1].append(c)
+        else:
+            groups.append([c])
+            joined = fc < q
+    ids = [min(gr) for gr in groups]
+    m = min(x for x in ids if x != late)
+    h = ids.index(m)
+    groups = groups[h:] + groups[:h]
+    ring = ids[h + 1 :] + ids[:h]
+    i, j = 0, len(ring) - 1
+    while True:
+        x, y = ring[i], ring[j]
+        take_x = x != late and (x < y or y == late)
+        if j - i == 1:
+            break
+        i, j = (i + 1, j) if take_x else (i, j - 1)
+    t, p = (x, y) if take_x else (y, x)
+    return q, m, t, p, groups, i
+
+
+def _first_closed(adj: list, fell: list[int], last: int) -> Infeasible | None:
+    """The forced short cycle the pass-by-pass scan meets first among the
+    runs closed by pass `last`, if there is one."""
+    met = min((_as_met(c, f)[:4] for c, f in _closed_runs(adj, fell, last)), default=None)
+    if met is None:
+        return None
+    _, m, t, p = met
+    return Infeasible(f"contracting ({m}, {t}) would double edge to {p}")
+
+
+def _terminal_triangle(ring: list[int], fell: list[int]) -> tuple[UndirectedGraph, CycleLifter]:
+    """A graph that is one ring, reduced as the pass-by-pass scan does it
+    to the triangle of m, t and p.  The stretch that t or p stands for,
+    if longer than one vertex, is written first, between its neighbours on
+    the ring (the stretches of t and p meet, so one is a single vertex).
+    m's record, with every other vertex, attaches to t and p."""
+    _, m, _, _, groups, i = _as_met(ring, [fell[u] for u in ring])
+    x, y = min(groups[i + 1]), min(groups[i + 2])
+    records = []
+    for k in (i + 1, i + 2):
+        if len(groups[k]) > 1:
+            ends = (groups[k - 1][-1], groups[(k + 1) % len(groups)][0])
+            records.append(_oriented(min(groups[k]), tuple(groups[k]), ends))
+    rest = chain.from_iterable(groups[i + 3 :] + groups[: i + 1])
+    records.append(_oriented(m, tuple(rest), (y, x)))
+    adj: list[tuple[int, ...]] = [()] * (len(ring) + 1)
+    for u, v, w in ((m, x, y), (x, m, y), (y, m, x)):
+        adj[u] = (v, w) if v < w else (w, v)
+    return _renumbered(adj), CycleLifter(tuple(records))

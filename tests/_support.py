@@ -8,8 +8,8 @@ layout by role (Role, label_of, role_of), its arc-list build_hcp, its
 clue_redundant_arcs by label calls and its line-by-line graph writers:
 the faster versions, and the label_* arithmetic, must match them exactly.
 The earlier reduce_graph wrote one record per contracted pair and one per
-rule-2 edge deletion; those record types live here, with pair_records to
-expand the library's path records into them."""
+rule-2 edge deletion; those record types live here, with folded_runs to
+fold the pairs into the library's one record per surviving run."""
 
 from __future__ import annotations
 
@@ -295,36 +295,33 @@ class EdgeDeletion:
     edges: tuple[tuple[int, int], ...]
 
 
-def pair_records(records) -> list:
-    """The records with each path Contraction expanded into the pair
-    contractions that reduce_graph_by_passes writes for the same path.
+def folded_runs(records) -> list[Contraction]:
+    """reduce_graph_by_passes' pair contractions folded into one Contraction
+    per final survivor, in the order each run last changed.
 
-    Contracting step by step keeps the survivor and absorbs the smaller of
-    its two degree-2 neighbours each time, so the pairs merge the path's
-    two sides, read outwards from the survivor, head by head."""
-    out = []
+    A pair (s, t, p, q) stands for p - s - t - q becoming p - s - q: the
+    vertices folded into s so far, read from p's side to t's, are followed
+    by those folded into t, read from s's side to q's, and s's ends become
+    p and q.  A run keeps the ends of its last change, and its path is
+    turned to run from the side of the survivor's smaller neighbour."""
+    runs: dict[int, tuple[tuple[int, ...], tuple[int, int]]] = {}
     for rec in records:
-        if not isinstance(rec, Contraction):
-            out.append(rec)
+        if not isinstance(rec, PairContraction):
             continue
-        m = rec.survivor
-        k = rec.path.index(m)
-        left, right = rec.path[:k][::-1], rec.path[k + 1 :]
-        end_l, end_r = rec.ends
-        i = j = 0
-        nl, nr = len(left), len(right)
-        while i < nl or j < nr:
-            if j == nr or (i < nl and left[i] < right[j]):
-                t = left[i]
-                i += 1
-                p = right[j] if j < nr else end_r
-                q = left[i] if i < nl else end_l
-            else:
-                t = right[j]
-                j += 1
-                p = left[i] if i < nl else end_l
-                q = right[j] if j < nr else end_r
-            out.append(PairContraction(m, t, p, q))
+        s, t, p, q = rec.survivor, rec.absorbed, rec.attach_survivor, rec.attach_absorbed
+        head, (a, _) = runs.pop(s, ((s,), (p, t)))
+        tail, (_, d) = runs.pop(t, ((t,), (s, q)))
+        # t's end on s's side may since have been folded into s; its far end
+        # is still q
+        runs[s] = ((head if a == p else head[::-1]) + (tail if d == q else tail[::-1]), (p, q))
+    out = []
+    for s, (path, ends) in runs.items():
+        k = path.index(s)
+        before = path[k - 1] if k else ends[0]
+        after = path[k + 1] if k + 1 < len(path) else ends[1]
+        if before > after:
+            path, ends = path[::-1], (ends[1], ends[0])
+        out.append(Contraction(s, path, ends))
     return out
 
 
@@ -335,8 +332,8 @@ def reduce_graph_by_passes(
 
     The pass-by-pass reduce_graph that rescans every vertex on every pass,
     kept as the oracle the library's reduce_graph must match: the same
-    reduced graph and reasons, and its records, less the edge deletions,
-    equal to pair_records of the library's.  Returns the reduced graph and
+    reduced graph and reasons, and its pair contractions folded by
+    folded_runs into the library's records.  Returns the reduced graph and
     its PairContraction and EdgeDeletion records.
 
     Rule 1: two adjacent degree-2 vertices contract to a single vertex.

@@ -265,6 +265,30 @@ def test_chained_journal_that_deletes_a_vertex_twice(
     assert not out.exists() and not jout.exists()
 
 
+@pytest.mark.parametrize("command", ["reduce", "compress"])
+@pytest.mark.parametrize("kind", ["T", "p"])
+def test_chained_journal_of_another_graph_size(puzzle_file, capsys, tmp_path, command, kind):
+    # a journal whose final graph has another vertex count would be joined
+    # into one that recover refuses: by its triplication's 3n less its
+    # deletions, or by a deleted id above the count plus the deletions
+    if command == "reduce":
+        text = "UHCP 5 6\n1 2\n2 3\n3 4\n4 5\n1 5\n2 5\n"
+    else:
+        text = export_graph(undirect(build_hcp(4))[0])
+    graph = puzzle_file("g.uhcp", text)
+    n = int(text.split()[1])
+    journal, message = {
+        "T": ("T 7\n", f"graph of {n} vertices inconsistent with journal (0 deletions from 21 vertices)"),
+        "p": (f"p {n + 4} 1 3 {n + 4} {n + 3}\n", "journal refers to vertices outside the graph"),
+    }[kind]
+    jf = puzzle_file("other.journal", journal)
+    out, jout = tmp_path / "o.uhcp", tmp_path / "o.journal"
+    argv = [command, graph, "-o", str(out), "--journal", jf, "--journal-out", str(jout)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not jout.exists()
+
+
 @pytest.mark.parametrize("journal", ["missing", "g 0 1 4\n"])
 def test_chained_journal_read_before_reduce_refutes(puzzle_file, capsys, tmp_path, journal):
     # the path 1-2-3-4 is refuted by reduce, but a journal that cannot be

@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from sudoku2hcp import (
     verify_cycle,
     witness_cycle,
 )
-from sudoku2hcp.formats import save_journal
+from sudoku2hcp.formats import load_journal, save_journal
 from sudoku2hcp.labels import label_cand, label_dup, vertex_count
 from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication
 from _support import (
@@ -35,7 +36,7 @@ from _support import (
     all_undirected_hamiltonian_cycles,
     brute_directed_hamiltonian,
     brute_undirected_hamiltonian,
-    pair_records,
+    folded_runs,
     peak_bytes,
     random_directed_arcs,
     random_undirected,
@@ -518,24 +519,28 @@ class TestLiftOfReduceAgainstBruteForce:
         # the seed gives 469 shrunk and 279 with deletions
         assert shrunk > 300 and deleted > 150, (shrunk, deleted)
 
+def by_survivor(records) -> list:
+    return sorted(records, key=lambda r: r.survivor)
+
+
 def reduce_text(out):
     """What reduce_graph's answer pins: the Infeasible reason, or the
-    reduced graph's file text and storage, and the journal's path records
-    expanded into the pair contractions of the pass-by-pass scan."""
+    reduced graph's file text and storage, and the journal's records by
+    survivor."""
     if isinstance(out, Infeasible):
         return out.reason
     reduced, lifter = out
-    return export_graph(reduced), storage(reduced), pair_records(lifter.records)
+    return export_graph(reduced), storage(reduced), by_survivor(lifter.records)
 
 
 def oracle_text(out):
-    """The same for reduce_graph_by_passes, less its edge deletions; its
-    graph comes from the public, checking constructor."""
+    """The same for reduce_graph_by_passes, with its pair contractions
+    folded into one record per surviving run; its graph comes from the
+    public, checking constructor."""
     if isinstance(out, Infeasible):
         return out.reason
     reduced, records = out
-    kept = [r for r in records if not isinstance(r, EdgeDeletion)]
-    return export_graph(reduced), storage(reduced), kept
+    return export_graph(reduced), storage(reduced), by_survivor(folded_runs(records))
 
 
 def random_reduce_input(rng: random.Random) -> UndirectedGraph:
@@ -606,19 +611,52 @@ def runs_from_smaller_neighbour(rec: Contraction) -> bool:
 
 def assert_matches_oracle(g: UndirectedGraph):
     """checked_reduce(g) against the pass-by-pass scan, with every path
-    following the orientation rule.  Returns the oracle's answer."""
+    following the orientation rule.  The records are compared by survivor:
+    the sweep writes them in ascending survivor, the fold as each run last
+    changed.  Only in a terminal triangle does one record's end lie on
+    another's path, so there both cycles of the triangle are lifted too.
+    Returns the oracle's answer."""
     out = checked_reduce(g)
     want = reduce_graph_by_passes(g)
     assert reduce_text(out) == oracle_text(want), list(g.edges())
     if not isinstance(out, Infeasible):
-        assert all(map(runs_from_smaller_neighbour, out[1].records))
+        reduced, lifter = out
+        assert all(map(runs_from_smaller_neighbour, lifter.records))
+        if reduced.n == 3:
+            for c in ([1, 2, 3], [3, 2, 1]):
+                assert verify_cycle(g, lifter.lift(c)), list(g.edges())
     return want
+
+
+def assert_pair_journal_lifts_alike(g: UndirectedGraph) -> bool:
+    """When the reduced triplication g has a cycle, the journal of the
+    scan's pair contractions, each written as a two-vertex path record the
+    way journals of one record per contracted pair were, lifts the
+    solver's cycle to the same directed cycle as reduce_graph's journal,
+    also after a text round trip.  Returns whether there was a cycle."""
+    out = reduce_graph(g)
+    if isinstance(out, Infeasible):
+        return False
+    reduced, lifter = out
+    outcome = solve_hcp(reduced)
+    if outcome.status != "cycle":
+        return False
+    pairs = tuple(
+        Contraction(r.survivor, (r.survivor, r.absorbed), (r.attach_survivor, r.attach_absorbed))
+        for r in reduce_graph_by_passes(g)[1]
+        if isinstance(r, PairContraction)
+    )
+    head = (Triplication(g.n // 3),)
+    want = CycleLifter(head + lifter.records).lift(outcome.cycle)
+    old = load_journal(save_journal(CycleLifter(head + pairs)))
+    assert old.lift(outcome.cycle) == want, list(g.edges())
+    return True
 
 
 class TestReduceMatchesPassByPass:
     """reduce_graph against the pass-by-pass scan it replaced: the same
-    reduced graph, the same reasons, and path records that expand into
-    the scan's pair contractions in the same order."""
+    reduced graph, the same reasons, and one record per surviving run,
+    the scan's pair contractions folded."""
 
     def test_random_graphs(self):
         rng = random.Random(2024)
@@ -631,9 +669,10 @@ class TestReduceMatchesPassByPass:
 
     def test_random_triplications(self):
         rng = random.Random(909)
-        infeasible = by_rules = deletions = contractions = 0
+        infeasible = by_rules = deletions = contractions = solved = 0
         for _ in range(1500):
-            want = assert_matches_oracle(random_triplication(rng))
+            g = random_triplication(rng)
+            want = assert_matches_oracle(g)
             if isinstance(want, Infeasible):
                 infeasible += 1
                 by_rules += "neighbours" in want.reason or "double" in want.reason
@@ -641,29 +680,48 @@ class TestReduceMatchesPassByPass:
             records = want[1]
             deletions += any(isinstance(r, EdgeDeletion) for r in records)
             contractions += any(isinstance(r, PairContraction) for r in records)
+            solved += assert_pair_journal_lifts_alike(g)
         # infeasible and reduced graphs, the rules deciding some of the
         # former and both firing on many of the latter
         assert 300 < infeasible < 1200 and by_rules > 100
-        assert deletions > 150 and contractions > 300
+        assert deletions > 150 and contractions > 300 and solved > 200
 
     def test_order4_thinnings(self):
         rng = random.Random(31)
         for _ in range(30):
-            assert_matches_oracle(thinned_order4_graph(rng))
+            g = thinned_order4_graph(rng)
+            assert_matches_oracle(g)
+            assert assert_pair_journal_lifts_alike(g)
 
     def test_puzzle_35(self):
         pruned, _ = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))
-        want = assert_matches_oracle(undirect(pruned)[0])
+        g = undirect(pruned)[0]
+        want = assert_matches_oracle(g)
         assert not isinstance(want, Infeasible)
+        assert assert_pair_journal_lifts_alike(g)
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_stage16_seed101(self, index):
-        # 77670 vertices, where most rule-1 visits of the scan would land on
-        # vertices a path contraction has already deleted
+        # 77670 vertices, where the scan makes 5116 and 7026 pair
+        # contractions and the sweep writes one record per surviving run
         instance = parse_sudoku(stage16_seed101_puzzles()[index])
         pruned, _ = prune_fixed(build_hcp(16), instance)
-        want = assert_matches_oracle(undirect(pruned)[0])
-        assert not isinstance(want, Infeasible)
+        g = undirect(pruned)[0]
+        _, pairs = assert_matches_oracle(g)
+        _, lifter = reduce_graph(g)
+        assert len(lifter.records) == (652, 1128)[index]
+        # every deleted id in one record, and one record for each final
+        # vertex into which the scan folded another
+        deleted = Counter(v for r in lifter.records for v in r.path if v != r.survivor)
+        into = {r.absorbed: r.survivor for r in pairs if isinstance(r, PairContraction)}
+        assert set(deleted.values()) == {1} and deleted.keys() == into.keys()
+
+        def final(v):
+            while v in into:
+                v = into[v]
+            return v
+
+        assert len(lifter.records) == len(set(map(final, into)))
 
     def test_path_runs_from_the_survivors_smaller_neighbour(self):
         # the path 2-1-9 joins 3 and 4 of a K6 on 3..8; CPython iterates
@@ -747,16 +805,56 @@ class TestReduceMatchesPassByPass:
         out = reduce_graph(g)
         assert reduce_text(out) == oracle_text(reduce_graph_by_passes(g))
         reduced, lifter = out
-        # one record for the path 3-4-6 between 1 and 2, one for the ring
-        # 1-3-2-5 ending in the triangle, none for the deleted edges (4, 5)
-        # and (1, 2)
-        assert lifter.records == (
-            Contraction(3, (3, 4, 6), (1, 2)),
-            Contraction(1, (3, 1), (2, 5)),
-        )
+        # the scan folds 4 and 6 into 3 in the first pass and 3 into 1 in
+        # the second, so one record holds the ring's run into 1, between
+        # 2 and 5; none is kept for the deleted edges (4, 5) and (1, 2)
+        assert lifter.records == (Contraction(1, (6, 4, 3, 1), (2, 5)),)
         assert reduced.n == 3
         assert lifter.lift([1, 2, 3]) == [1, 3, 4, 6, 2, 5]
         assert verify_cycle(g, lifter.lift([1, 2, 3]))
+
+    def test_terminal_triangle_keeps_an_earlier_run(self):
+        # rule 2 at 5 drops (1, 5) in the first pass, and the scan folds
+        # 5 and 6 into 3; rule 2 at 2 drops (2, 4) in the second, and 1
+        # absorbs only 2 before 1, 3 and 4 are the whole graph.  3's run
+        # is written first, between its ring neighbours 2 and 4; 1's
+        # record then attaches to 3 itself
+        edges = [(1, 2), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5), (4, 6), (5, 6)]
+        g = UndirectedGraph(6, edges)
+        assert_matches_oracle(g)
+        reduced, lifter = reduce_graph(g)
+        assert lifter.records == (
+            Contraction(3, (3, 5, 6), (2, 4)),
+            Contraction(1, (2, 1), (3, 4)),
+        )
+        assert lifter.lift([1, 2, 3]) == [1, 2, 3, 5, 6, 4]
+
+    @pytest.mark.parametrize(
+        "n, edges, reason",
+        [
+            # the path 4-1-6-3 closes on 5 in the first pass, so the scan
+            # refutes it there, before the second pass finds four degree-2
+            # neighbours at 5
+            (7, [(1, 4), (1, 6), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6),
+                 (4, 5), (4, 6), (5, 7), (6, 7)],
+             "contracting (1, 3) would double edge to 5"),
+            # the ring 4-6-7 closes in the first pass, the ring through 1
+            # only in the second
+            (7, [(1, 2), (1, 3), (1, 5), (2, 3), (2, 6), (3, 5), (4, 6),
+                 (4, 7), (6, 7)],
+             "contracting (4, 6) would double edge to 7"),
+            # 1 and 6 fall in the first pass, closing the path 1-6 on 2
+            # while 2 still has degree 3; the triangle 1-2-6 is a ring
+            # only after rule 2 at 2 in the second
+            (8, [(1, 2), (1, 6), (2, 4), (2, 6), (3, 5), (3, 8), (4, 5),
+                 (4, 7), (5, 8), (6, 8), (7, 8)],
+             "contracting (1, 6) would double edge to 2"),
+        ],
+    )
+    def test_closed_run_refuted_in_the_pass_it_closes(self, n, edges, reason):
+        g = UndirectedGraph(n, edges)
+        assert reduce_graph_by_passes(g) == Infeasible(reason)
+        assert reduce_graph(g) == Infeasible(reason)
 
 
 class TestLift:
