@@ -9,7 +9,7 @@ from .construct import build_hcp, prune_fixed, recover_solution
 from .graphs import DirectedGraph, UndirectedGraph
 from .solve import SolveBudget, SolveOutcome, solve_hcp, verify_cycle
 from .sudoku import Grid, SudokuInstance, validate_grid
-from .transform import CycleLifter, Infeasible, reduce_graph, undirect
+from .transform import CycleLifter, Infeasible, _reduce_directed, undirect
 
 
 @dataclass
@@ -29,7 +29,15 @@ class PipelineConfig:
 @dataclass
 class PipelineResult:
     """status is 'solved', 'unsat' or 'budget'.  reason is the
-    Infeasible reason when reduction decided 'unsat' without a search."""
+    Infeasible reason when reduction decided 'unsat' without a search.
+
+    directed is the encoding with the clues' redundant arcs pruned (there
+    are pruned_arcs of them).  final_graph is the reduced graph the search
+    ran on and lifter the journal from directed to it, led by the
+    triplication's record: the graph and journal of
+    reduce_graph(undirect(directed)[0]).  On a puzzle that reduction
+    refutes, final_graph is the triplication and lifter its journal alone.
+    """
 
     status: str
     grid: Grid | None
@@ -54,33 +62,36 @@ def solve_instance(
 ) -> PipelineResult:
     """Run the full pipeline on a parsed instance.
 
-    Take the directed encoding with the clues' redundant arcs pruned and
-    its undirected triplication, reduce it, search for a cycle, lift it
-    back to the directed graph and decode the grid.  The decoded grid is
+    Take the directed encoding with the clues' redundant arcs pruned,
+    reduce its undirected triplication, search for a cycle, lift it back
+    to the directed graph and decode the grid.  The decoded grid is
     checked against the encoding graph and the instance before it is
     returned.
 
     The blank encoding depends only on the order, so the last order's is
     kept (_blank_encoding) and built once for a run of puzzles of one
-    order.  Every puzzle, blank or clued, is then pruned and triplicated
-    as the stage chain does it: the graphs are those of
-    undirect(prune_fixed(build_hcp(n), instance)).
+    order.  Every puzzle, blank or clued, is then pruned as the stage
+    chain does it, and reduced in directed terms (transform._reduce_directed):
+    the reduced graph and journal are those of the chain's
+    reduce_graph(undirect(prune_fixed(build_hcp(n), instance)[0])[0]), but
+    the 3n-vertex triplication is built only where _reduce_directed hands
+    the puzzle to that chain, and for final_graph on a puzzle that
+    reduction refutes.
     """
     if config is None:
         config = PipelineConfig()
     n = instance.order
     directed, pruned_arcs = prune_fixed(_blank_encoding(n), instance)
-    graph, lifter = undirect(directed)
+    reduced = _reduce_directed(directed)
+    if isinstance(reduced, Infeasible):
+        graph, lifter = undirect(directed)
+        return PipelineResult(
+            "unsat", None, None, directed, pruned_arcs, graph, lifter, reason=reduced.reason
+        )
+    graph, lifter = reduced
     # built once and filled in as each stage finishes; "unsat" stands
     # unless solve ends otherwise
     result = PipelineResult("unsat", None, None, directed, pruned_arcs, graph, lifter)
-
-    reduced = reduce_graph(graph)
-    if isinstance(reduced, Infeasible):
-        result.reason = reduced.reason
-        return result
-    graph, step = reduced
-    result.final_graph, result.lifter = graph, lifter + step
 
     outcome = result.outcome = solve_hcp(graph, config.budget)
     if outcome.status != "cycle":

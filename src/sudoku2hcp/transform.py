@@ -9,7 +9,9 @@ replaying the journal backwards maps a Hamiltonian cycle of the
 transformed graph to one of the original graph.  Deleted edges leave no
 record: a cycle of a subgraph is a cycle of the graph.  The reduction
 writes one record per degree-2 run that survives it, however many passes
-the run took to form.
+the run took to form.  solve_instance reduces a directed graph's
+triplication without building it (_reduce_directed), to the graph and
+journal that the triplication followed by the reduction gives.
 
 Record id semantics: every record names vertices by their id in the
 journal's base graph, the graph its first transform was applied to (after
@@ -23,11 +25,11 @@ vertex 1 in arc order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, filterfalse, pairwise
+from itertools import accumulate, chain, compress, filterfalse, islice, pairwise
 from typing import Callable
 
 from .graphs import DirectedGraph, UndirectedGraph, _gc_paused, _uncoverable
@@ -381,13 +383,18 @@ def reduce_graph(
     checked before anything is allocated per vertex), a vertex with three
     or more degree-2 neighbours, or a contraction that would double an
     edge in a graph larger than a triangle (a forced short cycle).
-    Records name vertices by their ids in g, which is left unchanged.
+    Records name vertices by their ids in g, which is left unchanged.  A
+    triangle, the terminal graph of the reduction, comes back as it is
+    with an empty journal; below 3 vertices ValueError is raised, as
+    solve_hcp does.
     """
-    if g.n < 4:
-        raise ValueError("reduction expects at least 4 vertices")
+    if g.n < 3:
+        raise ValueError("reduction expects at least 3 vertices")
     reason = _uncoverable(g)
     if reason:
         return Infeasible(reason)
+    if g.n == 3:
+        return g, CycleLifter()
     n = g.n
     # g's own sorted tuples (keys 1..n, as no degree is < 2); a rule that
     # changes a vertex writes it a new sorted one, and a deleted vertex ()
@@ -463,6 +470,158 @@ def reduce_graph(
         v = deg2.find(1, v + 1)
     # a run's two ends differ, so no contraction doubles an edge
     return _renumbered(adj), CycleLifter(tuple(records))
+
+
+@_gc_paused
+def _reduce_directed(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter] | Infeasible:
+    """What reduce_graph(undirect(g)[0]) returns, its journal joined after
+    the triplication's, found on g without building the triplication.
+
+    In the triplication, v's in-copy 3v - 2 has degree 1 + indeg(v), its
+    middle 3v - 1 degree 2 and its out-copy 3v degree 1 + outdeg(v).  So
+    rule 2 fires at u's out-copy exactly when one successor of u has
+    in-degree 1, and deletes u's other out-arcs; at v's in-copy exactly
+    when one predecessor of v has out-degree 1, and deletes v's other
+    in-arcs.  Two such neighbours at one copy are reduce's three degree-2
+    neighbours, a conflict.  Rule 2 never deletes an edge to a degree-2
+    vertex, so a copy's degree-2 neighbours only grow: without a conflict,
+    a copy that fires in one order fires in every order, with the same
+    two, and rule 2's fixpoint is the same.  So the propagation here need
+    not follow reduce's passes.
+
+    At the fixpoint an arc p -> w with outdeg(p) = 1 or indeg(w) = 1 has
+    both: it is forced.  A maximal chain of forced arcs, from a head h of
+    in-degree at least 2 to a tail t of out-degree at least 2, is one
+    degree-2 run of the triplication: from h's middle to t's middle,
+    between h's in-copy and t's out-copy.  Its smallest id survives: h's
+    middle when h is the chain's smallest vertex, else that vertex's
+    in-copy, whose smaller neighbour is its middle.  So each record runs
+    from t's side unless h's middle survives, and the records come in
+    ascending survivor, as reduce's sweep writes them.  A chain of one
+    vertex keeps its three copies.  The reduced graph is the triplication
+    of the digraph of the chains: each chain's in-copy, survivor and
+    out-copy, renumbered in id order as _renumbered does.
+
+    g is handed to undirect and reduce_graph instead where reduce's own
+    checks or passes decide the answer: fewer than 4 triplicated
+    vertices, fewer arcs than vertices or a vertex without an out-arc
+    (both found before anything is allocated per vertex) or without an
+    in-arc, a conflict (which reduce meets too, in words its passes
+    decide), or a ring of forced arcs, the terminal triangle or a forced
+    short cycle.  A ring is the only run of a triplication that closes on
+    itself, since a chain's two ends are an in-copy and an out-copy.
+    """
+    n = g.n
+    if n < 2 or g.m < n or len(g._adj) < n:
+        return _reduced_triplication(g)
+    # successor tuples (g's own until rule 2 changes them) and
+    # predecessor lists, each ascending
+    out: list[tuple[int, ...]] = [(), *g._adj.values()]
+    ins: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, ws in enumerate(out):
+        for w in ws:
+            ins[w].append(u)
+    if not all(islice(ins, 1, None)):
+        return _reduced_triplication(g)
+
+    # rule 2 to its fixpoint: u on the stack asks for it at u's out-copy,
+    # -v at v's in-copy
+    todo = [p[0] for p in ins if len(p) == 1 and len(out[p[0]]) > 1]
+    todo += [-ws[0] for ws in out if len(ws) == 1 and len(ins[ws[0]]) > 1]
+    while todo:
+        x = todo.pop()
+        if x > 0:
+            ws = out[x]
+            if len(ws) == 1:
+                continue
+            kept = [w for w in ws if len(ins[w]) == 1]
+            if len(kept) > 1:
+                return _reduced_triplication(g)
+            out[x] = (keep := kept[0],)
+            for w in ws:
+                if w != keep:
+                    ps = ins[w]
+                    ps.remove(x)
+                    if len(ps) == 1 and len(out[ps[0]]) > 1:
+                        todo.append(ps[0])
+        else:
+            ps = ins[-x]
+            if len(ps) == 1:
+                continue
+            kept = [u for u in ps if len(out[u]) == 1]
+            if len(kept) > 1:
+                return _reduced_triplication(g)
+            ins[-x] = kept
+            for u in ps:
+                if u != kept[0]:
+                    ws = out[u]
+                    i = ws.index(-x)
+                    out[u] = ws = ws[:i] + ws[i + 1 :]
+                    if len(ws) == 1 and len(ins[ws[0]]) > 1:
+                        todo.append(-ws[0])
+
+    # each chain as (h, its smallest vertex, t, its vertices), in ascending h
+    chains = []
+    walked = 0
+    for h, ps in enumerate(ins):
+        if len(ps) > 1:
+            run = [v := h]
+            while len(ws := out[v]) == 1:
+                run.append(v := ws[0])
+            walked += len(run)
+            chains.append((h, min(run), v, run))
+    if walked < n:
+        return _reduced_triplication(g)  # the vertices left lie on rings
+
+    # the kept copies renumbered in id order: v's in-copy when v heads a
+    # chain, the survivor of the chain whose smallest vertex v is (v's
+    # in-copy, or its middle when v is also the head), v's out-copy when v
+    # ends a chain
+    new_in, surv, new_out = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for _, low, _, _ in chains:
+        surv[low] = 1
+    k = 0
+    for v in range(1, n + 1):
+        if len(ins[v]) > 1:
+            k += 1
+            new_in[v] = k
+        if surv[v]:
+            k += 1
+            surv[v] = k
+        if len(out[v]) > 1:
+            k += 1
+            new_out[v] = k
+    # rows[k - 1] is the neighbours of k
+    rows: list[tuple[int, ...]] = [()] * k
+    records = []
+    for h, low, t, run in chains:
+        i, m, o = new_in[h], surv[low], new_out[t]
+        row = [new_out[u] for u in ins[h]]
+        insort(row, m)
+        rows[i - 1] = tuple(row)
+        rows[m - 1] = (i, o) if i < o else (o, i)
+        row = [new_in[w] for w in out[t]]
+        insort(row, m)
+        rows[o - 1] = tuple(row)
+        if len(run) > 1:
+            path = [x for v in run for x in (3 * v - 2, 3 * v - 1, 3 * v)][1:-1]
+            if low == h:
+                records.append(Contraction(3 * h - 1, tuple(path), (3 * h - 2, 3 * t)))
+            else:
+                records.append(Contraction(3 * low - 2, tuple(reversed(path)), (3 * t, 3 * h - 2)))
+    records.sort(key=lambda r: r.survivor)
+    graph = UndirectedGraph._derived(k, sum(map(len, rows)) // 2, dict(enumerate(rows, 1)))
+    return graph, CycleLifter((Triplication(n), *records))
+
+
+def _reduced_triplication(g: DirectedGraph) -> tuple[UndirectedGraph, CycleLifter] | Infeasible:
+    """reduce_graph(undirect(g)[0]), its journal joined after the
+    triplication's."""
+    graph, lifter = undirect(g)
+    reduced = reduce_graph(graph)
+    if isinstance(reduced, Infeasible):
+        return reduced
+    return reduced[0], lifter + reduced[1]
 
 
 def _renumbered(adj: list[tuple[int, ...]]) -> UndirectedGraph:

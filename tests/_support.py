@@ -347,10 +347,11 @@ def reduce_graph_by_passes(
     vertex), a vertex with three or more degree-2 neighbours, a vertex
     left with fewer than two edges, or a contraction that would double an
     edge in a graph larger than a triangle (a forced short cycle).
-    Records name vertices by their ids in g.
+    Records name vertices by their ids in g.  A triangle passes the scan
+    unchanged; below 3 vertices ValueError is raised.
     """
-    if g.n < 4:
-        raise ValueError("reduction expects at least 4 vertices")
+    if g.n < 3:
+        raise ValueError("reduction expects at least 3 vertices")
     if g.m < g.n:
         return Infeasible(f"{g.m} edges cannot cover {g.n} vertices")
     adj: dict[int, set[int]] = {v: set(g._adj.get(v, ())) for v in range(1, g.n + 1)}

@@ -17,11 +17,12 @@ from sudoku2hcp import (
     parse_sudoku,
     prune_fixed,
     undirect,
+    verify_cycle,
     witness_cycle,
     write_cycle,
 )
 from sudoku2hcp.cli import _parser, main
-from sudoku2hcp.formats import export_graph
+from sudoku2hcp.formats import export_graph, import_graph, load_journal, read_cycle
 from _support import all_order4_solutions, peak_bytes, triplicate_cycle
 
 BLANK4 = "." * 16
@@ -287,6 +288,26 @@ def test_chained_journal_of_another_graph_size(puzzle_file, capsys, tmp_path, co
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and not jout.exists()
+
+
+def test_reduce_accepts_its_own_output(puzzle_file, capsys, tmp_path):
+    # reduce of the 4-cycle writes the terminal triangle; reduce of that
+    # triangle writes it again and chains the journal unchanged, which
+    # still lifts the solver's cycle to the 4-cycle
+    square = "UHCP 4 4\n1 2\n2 3\n3 4\n1 4\n"
+    graph = puzzle_file("sq.uhcp", square)
+    r1, j1, r2, j2, cycle = (
+        str(tmp_path / name) for name in ("r1.uhcp", "r1.journal", "r2.uhcp", "r2.journal", "r.cycle")
+    )
+    assert main(["reduce", graph, "-o", r1, "--journal-out", j1]) == 0
+    assert Path(r1).read_text() == "UHCP 3 3\n1 2\n1 3\n2 3\n"
+    assert main(["reduce", r1, "-o", r2, "--journal", j1, "--journal-out", j2]) == 0
+    assert Path(r2).read_text() == Path(r1).read_text()
+    assert Path(j2).read_text() == Path(j1).read_text()
+    assert main(["solve", r2, "-o", cycle]) == 0
+    lifted = load_journal(Path(j2).read_text()).lift(read_cycle(Path(cycle).read_text()))
+    assert verify_cycle(import_graph(square), lifted)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("journal", ["missing", "g 0 1 4\n"])

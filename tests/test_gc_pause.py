@@ -31,6 +31,7 @@ from sudoku2hcp import (
 )
 from sudoku2hcp import solve
 from sudoku2hcp.graphs import _gc_paused
+from sudoku2hcp.transform import _reduce_directed
 from _support import PUZZLE_35, SOLUTION_35, all_order4_solutions, thinning
 
 PUZZLE4 = "1...2..3......2."
@@ -40,19 +41,22 @@ def _calls():
     """(name, call on small input, call that raises, what it raises) for
     each paused call.  Each raises through its own check of its input,
     except undirect, which has none: any DirectedGraph is valid input, so
-    it is handed a non-graph."""
+    it is handed a non-graph, nor _reduce_directed, which takes what
+    undirect takes."""
     blank4 = build_hcp(4)
     inst4 = parse_sudoku(PUZZLE4)
     pruned4, _ = prune_fixed(blank4, inst4)
     tri4, journal4 = undirect(pruned4)
-    triangle = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
+    edge = UndirectedGraph(2, [(1, 2)])
     inst9 = parse_sudoku(PUZZLE_35)
     return [
         ("build_hcp", lambda: build_hcp(4), lambda: build_hcp(5), ValueError),
         ("prune_fixed", lambda: prune_fixed(blank4, inst4),
          lambda: prune_fixed(blank4, inst9), ValueError),
         ("undirect", lambda: undirect(pruned4), lambda: undirect(None), AttributeError),
-        ("reduce_graph", lambda: reduce_graph(tri4), lambda: reduce_graph(triangle), ValueError),
+        ("reduce_graph", lambda: reduce_graph(tri4), lambda: reduce_graph(edge), ValueError),
+        ("_reduce_directed", lambda: _reduce_directed(pruned4), lambda: _reduce_directed(None),
+         AttributeError),
         ("import_graph", lambda: import_graph(export_graph(pruned4)),
          lambda: import_graph("DHCP 3 1\n1 x\n"), ValueError),
         ("load_journal", lambda: load_journal(save_journal(journal4)),

@@ -21,13 +21,14 @@ from sudoku2hcp import (
     undirect,
     validate_grid,
 )
-from sudoku2hcp import pipeline
-from sudoku2hcp.transform import Infeasible, reduce_graph
+from sudoku2hcp import pipeline, transform
+from sudoku2hcp.transform import Infeasible, Triplication, reduce_graph
 from _support import (
     PUZZLE_35,
     SOLUTION_35,
     all_order4_solutions,
     random_consistent_instance,
+    stage16_seed101_puzzles,
     storage,
     thinning,
 )
@@ -64,23 +65,36 @@ def test_grid_validated(monkeypatch):
         solve_instance(blank_instance(4))
 
 
-class TestDerivedEncoding:
-    """solve_instance prunes and triplicates every puzzle from the cached
-    blank encoding, whether it is the first of its order or not, so its
-    graphs must be stored exactly as the stage chain build -> prune ->
-    undirect stores them."""
+def chain_answer(inst: SudokuInstance, blank: DirectedGraph):
+    """What the stage chain build -> prune -> undirect -> reduce gives for
+    inst: the pruned graph and its count of pruned arcs, then the reduced
+    graph and the journal from the pruned graph to it, or on a refuted
+    puzzle the triplication, its journal and the reason."""
+    directed, pruned = prune_fixed(blank, inst)
+    graph, lifter = undirect(directed)
+    reduced = reduce_graph(graph)
+    if isinstance(reduced, Infeasible):
+        return directed, pruned, graph, lifter, reduced.reason
+    return directed, pruned, reduced[0], lifter + reduced[1], None
 
-    def test_matches_the_stage_chain(self, monkeypatch):
-        # each puzzle is triplicated once, from its own pruned graph
-        triplicated = []
-        monkeypatch.setattr(
-            pipeline, "undirect", lambda g: triplicated.append(g) or undirect(g)
-        )
-        # the graph that enters reduction is that triplication itself
-        entered = []
-        monkeypatch.setattr(
-            pipeline, "reduce_graph", lambda g: entered.append(g) or reduce_graph(g)
-        )
+
+def assert_matches_the_chain(res, inst: SudokuInstance, blank: DirectedGraph):
+    directed, pruned, graph, lifter, reason = chain_answer(inst, blank)
+    assert res.pruned_arcs == pruned
+    assert export_graph(res.directed) == export_graph(directed)
+    assert storage(res.directed) == storage(directed)
+    assert storage(res.final_graph) == storage(graph)
+    assert res.lifter == lifter
+    assert res.reason == reason
+
+
+class TestDerivedEncoding:
+    """solve_instance prunes every puzzle from the cached blank encoding,
+    whether it is the first of its order or not, and reduces it in
+    directed terms, so its graphs and journal must be stored exactly as
+    the stage chain build -> prune -> undirect -> reduce stores them."""
+
+    def test_matches_the_stage_chain(self):
         pipeline._blank_encoding.cache_clear()
         rng = random.Random(1111)
         sols = all_order4_solutions()
@@ -89,29 +103,19 @@ class TestDerivedEncoding:
         solution = parse_grid(SOLUTION_35)
         instances += [thinning(solution, count, rng) for count in (17, 30, 60)]
         instances.append(blank_instance(4))  # back to order 4 after order 9
+        # clues that reduce refutes: final_graph is the triplication
+        instances.append(SudokuInstance(4, {(1, 1): 1, (2, 3): 1, (3, 2): 1, (4, 4): 2}))
         config = PipelineConfig(budget=SolveBudget(max_nodes=1))
-        for count, inst in enumerate(instances, 1):
+        for inst in instances:
             res = solve_instance(inst, config)
-            assert len(triplicated) == count and triplicated[-1] is res.directed
-            directed, pruned = prune_fixed(build_hcp(inst.order), inst)
-            graph, lifter = undirect(directed)
-            assert res.pruned_arcs == pruned
-            assert export_graph(res.directed) == export_graph(directed)
-            assert storage(res.directed) == storage(directed)
-            assert export_graph(entered[-1]) == export_graph(graph)
-            assert storage(entered[-1]) == storage(graph)
-            reduced = reduce_graph(graph)
-            if isinstance(reduced, Infeasible):
-                assert res.lifter == lifter
-            else:
-                assert res.lifter == lifter + reduced[1]
-        assert len(entered) == len(instances)
+            assert_matches_the_chain(res, inst, build_hcp(inst.order))
+        assert res.status == "unsat" and res.reason is not None
+        assert res.lifter.records == (Triplication(res.directed.n),)
         # a blank puzzle after a clued one of its order prunes nothing, and
         # its result holds a graph of its own, not the kept one
         assert solve_instance(parse_sudoku("1...2..3......2.")).status == "solved"
         blank = solve_instance(blank_instance(4))
         assert blank.status == "solved" and blank.pruned_arcs == 0
-        assert triplicated[-1] is blank.directed
         assert blank.directed is not pipeline._blank_encoding(4)
 
     def test_cached_graphs_stay_unchanged(self):
@@ -140,13 +144,9 @@ def _pattern_grid(order: int) -> Grid:
     ))
 
 
-def test_order16_run_matches_the_stage_chain(monkeypatch):
+def test_order16_run_matches_the_stage_chain():
     # three 16x16 thinnings in a row: the second and third reuse the kept
-    # blank encoding, and every graph is the stage chain's
-    entered = []
-    monkeypatch.setattr(
-        pipeline, "reduce_graph", lambda g: entered.append(g) or reduce_graph(g)
-    )
+    # blank encoding, and every graph and journal is the stage chain's
     pipeline._blank_encoding.cache_clear()
     blank = build_hcp(16)
     rng = random.Random(1616)
@@ -156,15 +156,23 @@ def test_order16_run_matches_the_stage_chain(monkeypatch):
         inst = thinning(grid, count, rng)
         res = solve_instance(inst)
         assert res.status == "solved" and res.grid == grid
-        directed, pruned = prune_fixed(blank, inst)
-        graph, _ = undirect(directed)
-        assert res.pruned_arcs == pruned
-        assert storage(res.directed) == storage(directed)
-        assert storage(entered[-1]) == storage(graph)
+        assert_matches_the_chain(res, inst, blank)
     assert pipeline._blank_encoding.cache_info().misses == 1
     cached = pipeline._blank_encoding(16)
     assert isinstance(cached, DirectedGraph)
     assert storage(cached) == storage(blank)
+
+
+def test_solved_order16_puzzle_is_never_triplicated(monkeypatch):
+    # the reduction runs on the pruned directed graph itself: neither the
+    # pipeline nor the reduction calls undirect or reduce_graph
+    calls = []
+    for module, name in ((pipeline, "undirect"), (transform, "undirect"), (transform, "reduce_graph")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda g, name=name, real=real: calls.append(name) or real(g))
+    res = solve_instance(parse_sudoku(stage16_seed101_puzzles()[0]))
+    assert res.status == "solved"
+    assert calls == []
 
 
 def test_differential_against_enumeration():

@@ -27,7 +27,8 @@ from sudoku2hcp import (
 )
 from sudoku2hcp.formats import load_journal, save_journal
 from sudoku2hcp.labels import label_cand, label_dup, vertex_count
-from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication
+from sudoku2hcp import transform
+from sudoku2hcp.transform import Contraction, GadgetRemoval, Triplication, _reduce_directed
 from _support import (
     PUZZLE_35,
     EdgeDeletion,
@@ -38,11 +39,13 @@ from _support import (
     brute_undirected_hamiltonian,
     folded_runs,
     peak_bytes,
+    random_consistent_instance,
     random_directed_arcs,
     random_undirected,
     reduce_graph_by_passes,
     stage16_seed101_puzzles,
     storage,
+    thinning,
     triplicate_cycle,
     well_formed_order4,
 )
@@ -403,8 +406,20 @@ class TestReduce:
         assert isinstance(reduce_graph(g), Infeasible)
 
     def test_small_graph_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_graph(UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)]))
+        for n, edges in ((0, []), (1, []), (2, [(1, 2)])):
+            with pytest.raises(ValueError, match="reduction expects at least 3 vertices"):
+                reduce_graph(UndirectedGraph(n, edges))
+
+    def test_triangle_comes_back_unchanged(self):
+        # the terminal graph of the reduction reduces to itself, so reduce
+        # accepts its own output; with an edge missing, it is uncoverable
+        triangle = UndirectedGraph(3, [(1, 2), (2, 3), (1, 3)])
+        reduced, lifter = reduce_graph(triangle)
+        assert storage(reduced) == storage(triangle) and lifter == CycleLifter()
+        path = UndirectedGraph(3, [(1, 2), (2, 3)])
+        assert reduce_graph(path) == Infeasible("2 edges cannot cover 3 vertices")
+        assert reduce_graph_by_passes(triangle) == (triangle, ())
+        assert reduce_graph_by_passes(path) == reduce_graph(path)
 
     def test_fixpoint_postcondition(self):
         g = build_hcp(9)
@@ -855,6 +870,162 @@ class TestReduceMatchesPassByPass:
         g = UndirectedGraph(n, edges)
         assert reduce_graph_by_passes(g) == Infeasible(reason)
         assert reduce_graph(g) == Infeasible(reason)
+
+
+def two_step(g: DirectedGraph):
+    """The stage chain's answer for g: reduce_graph(undirect(g)[0]), its
+    journal joined after the triplication's."""
+    graph, lifter = undirect(g)
+    out = reduce_graph(graph)
+    return out if isinstance(out, Infeasible) else (out[0], lifter + out[1])
+
+
+def answer(reduce, g: DirectedGraph):
+    """What reduce(g) pins: the ValueError's message, the Infeasible, or
+    the graph's storage and the journal's records in their order."""
+    try:
+        out = reduce(g)
+    except ValueError as e:
+        return "raises", str(e)
+    if isinstance(out, Infeasible):
+        return out
+    graph, lifter = out
+    return storage(graph), lifter.records
+
+
+@pytest.fixture
+def handed_on(monkeypatch):
+    """The digraphs that _reduce_directed hands to undirect and
+    reduce_graph, in call order."""
+    seen = []
+    real = transform._reduced_triplication
+    monkeypatch.setattr(transform, "_reduced_triplication", lambda g: seen.append(g) or real(g))
+    return seen
+
+
+def assert_directed_matches_two_step(g: DirectedGraph):
+    """_reduce_directed(g) against the stage chain, leaving g stored as it
+    was.  Returns the chain's answer."""
+    n, m, keys, adj = storage(g)
+    got = answer(_reduce_directed, g)
+    assert storage(g) == (n, m, keys, dict(adj))
+    want = answer(two_step, g)
+    assert got == want, (g.n, list(g.arcs()))
+    return want
+
+
+def random_forcing_digraph(rng: random.Random) -> DirectedGraph:
+    """A digraph on 0..9 vertices, most on 2..9, half of them holding a
+    random Hamiltonian cycle, in which up to half the vertices, each with
+    chance 0.7, keep one out-arc, and as many one in-arc, so that arcs are
+    forced."""
+    n = rng.randint(2, 9) if rng.random() < 0.98 else rng.randint(0, 1)
+    p = rng.uniform(0.1, 0.7)
+    arcs = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b and rng.random() < p}
+    if n > 1 and rng.random() < 0.5:
+        ring = rng.sample(range(1, n + 1), n)
+        arcs.update(zip(ring, ring[1:] + ring[:1]))
+    for side in (0, 1):
+        for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2)):
+            at_v = sorted(a for a in arcs if a[side] == v)
+            if at_v and rng.random() < 0.7:
+                arcs.difference_update(at_v)
+                arcs.add(rng.choice(at_v))
+    return DirectedGraph(n, sorted(arcs))
+
+
+class TestReduceDirected:
+    """_reduce_directed, which solve_instance calls, against the stage
+    chain undirect -> reduce_graph it replaces: the same reduced graph,
+    the same records in the same order, or the same reason or error."""
+
+    def test_random_digraphs(self, handed_on):
+        rng = random.Random(3434)
+        outcomes = Counter()
+        for _ in range(6000):
+            g = random_forcing_digraph(rng)
+            before = len(handed_on)
+            want = assert_directed_matches_two_step(g)
+            path = "handed on" if len(handed_on) > before else "directed"
+            if isinstance(want, Infeasible):
+                outcomes[path, "refuted"] += 1
+            elif want[0] == "raises":
+                outcomes[path, "raises"] += 1
+            else:
+                outcomes[path, "contracted" if len(want[1]) > 1 else "reduced"] += 1
+        # both paths well represented, the directed one with and without
+        # contractions, and the chain's error reached; only the directed
+        # path never refutes
+        assert outcomes["directed", "contracted"] > 500, outcomes
+        assert outcomes["directed", "reduced"] > 100, outcomes
+        assert outcomes["handed on", "refuted"] > 2000, outcomes
+        assert outcomes["handed on", "contracted"] > 500, outcomes
+        assert outcomes["handed on", "raises"] > 0, outcomes
+        assert outcomes["directed", "refuted"] == outcomes["directed", "raises"] == 0
+
+    def test_order4_thinnings(self, handed_on):
+        # thinnings of solutions and random clue sets, some of them unsat
+        rng = random.Random(44)
+        blank = build_hcp(4)
+        sols = all_order4_solutions()
+        instances = [thinning(rng.choice(sols), rng.randint(1, 16), rng) for _ in range(40)]
+        instances += [random_consistent_instance(rng, 4, rng.randint(8, 12)) for _ in range(60)]
+        refuted = 0
+        for inst in instances:
+            want = assert_directed_matches_two_step(prune_fixed(blank, inst)[0])
+            refuted += isinstance(want, Infeasible)
+        # only the refuted puzzles are handed on
+        assert len(handed_on) == refuted > 3, refuted
+
+    def test_puzzle_35(self, handed_on):
+        pruned, _ = prune_fixed(build_hcp(9), parse_sudoku(PUZZLE_35))
+        assert not isinstance(assert_directed_matches_two_step(pruned), Infeasible)
+        assert handed_on == []
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_stage16_seed101(self, index, handed_on):
+        instance = parse_sudoku(stage16_seed101_puzzles()[index])
+        pruned, _ = prune_fixed(build_hcp(16), instance)
+        _, records = assert_directed_matches_two_step(pruned)
+        assert len(records) == 1 + (652, 1128)[index]
+        assert handed_on == []
+
+    @pytest.mark.parametrize(
+        "n, arcs, want",
+        [
+            # 1's out-copy has the middle and the in-copies of 2 and 3,
+            # each of in-degree 1, as degree-2 neighbours
+            (3, [(1, 2), (1, 3), (2, 1), (3, 1)],
+             Infeasible("vertex 1 has 3 degree-2 neighbours")),
+            # forced arcs ring through every vertex: the terminal triangle
+            (3, [(1, 2), (2, 3), (3, 1)], 3),
+            # two rings of forced arcs
+            (4, [(1, 2), (2, 1), (3, 4), (4, 3)],
+             Infeasible("contracting (1, 5) would double edge to 6")),
+            # reduce's passes close a path of the triplication on 1's
+            # out-copy, 3, before they find a conflict, and refute that
+            # path first
+            (6, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (3, 5), (4, 2),
+                 (4, 5), (5, 1), (5, 2), (5, 3), (5, 6), (6, 2), (6, 5)],
+             Infeasible("contracting (1, 7) would double edge to 3")),
+            # 3 has no in-arc, 3 no out-arc, too few arcs, too few vertices
+            (3, [(1, 2), (2, 1), (3, 1), (3, 2)], Infeasible("vertex 7 has degree 1")),
+            (3, [(1, 2), (2, 1), (1, 3), (2, 3)], Infeasible("vertex 9 has degree 1")),
+            (4, [(1, 2), (2, 1), (3, 4)], Infeasible("11 edges cannot cover 12 vertices")),
+            (1, [], Infeasible("2 edges cannot cover 3 vertices")),
+            (0, [], ("raises", "reduction expects at least 3 vertices")),
+        ],
+        ids=["conflict", "whole ring", "two rings", "path closing on one vertex",
+             "in-degree 0", "out-degree 0", "fewer arcs than vertices", "one vertex",
+             "no vertex"],
+    )
+    def test_handed_on_where_reduce_decides_by_its_passes(self, n, arcs, want, handed_on):
+        # want is the chain's answer, or for the whole ring the vertex
+        # count of the graph it reduces to
+        g = DirectedGraph(n, arcs)
+        got = assert_directed_matches_two_step(g)
+        assert handed_on == [g]
+        assert got[0][0] == want if isinstance(want, int) else got == want
 
 
 class TestLift:
